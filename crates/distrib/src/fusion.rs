@@ -4,9 +4,10 @@
 //! large allreduces and launches each as soon as the layers feeding it
 //! have finished backward. This module provides the deterministic core:
 //! [`FusionConfig`] (the fusion threshold + overlap switch, a [`Trainer`]
-//! option) and [`FusionBuffer`], which partitions the flat gradient into
-//! size-targeted, **layer-aligned** buckets with persistent per-bucket
-//! slabs — steady-state packing does zero heap allocation.
+//! option) and [`FusionBuffer`], which owns the flat gradient and
+//! partitions it into size-targeted, **layer-aligned** buckets. A bucket
+//! is a range of that one persistent buffer, so steady-state packing and
+//! exchange do zero heap allocation.
 //!
 //! Bucket boundary rules (documented in DESIGN.md §11):
 //! * buckets are contiguous ranges of the flat gradient, covering whole
@@ -29,8 +30,9 @@ use crate::compress::{sparse_allreduce_mean, TopKCompressor};
 use msa_net::codec::bf16_allreduce_with;
 use msa_net::tune::{tuned_allreduce_with, DecisionTable};
 use msa_net::{collectives, Arena, Communicator, GradCodec, PointToPoint};
-use nn::Layer;
+use nn::Sequential;
 use std::sync::Arc;
+use tensor::Tensor;
 
 /// Which allreduce each fusion bucket dispatches through.
 ///
@@ -158,7 +160,7 @@ impl FusionConfig {
 }
 
 /// One fusion bucket: a layer-aligned contiguous range of the flat
-/// gradient plus its persistent exchange slab.
+/// gradient.
 #[derive(Debug)]
 pub struct Bucket {
     /// Flat gradient range `[start, end)` this bucket covers.
@@ -168,9 +170,6 @@ pub struct Bucket {
     /// Backward visits layers in descending order, so the bucket's
     /// gradients are final right after this layer's backward.
     pub first_layer: usize,
-    /// Persistent exchange buffer of `end - start` floats; taken by
-    /// [`FusionBuffer::take_slab`] for the duration of the allreduce.
-    slab: Vec<f32>,
 }
 
 impl Bucket {
@@ -185,7 +184,8 @@ impl Bucket {
     }
 }
 
-/// Layer-aligned partition of the flat gradient into fusion buckets.
+/// Layer-aligned partition of the flat gradient into fusion buckets,
+/// plus the flat gradient itself: each bucket is a range of it.
 #[derive(Debug)]
 pub struct FusionBuffer {
     buckets: Vec<Bucket>,
@@ -195,6 +195,9 @@ pub struct FusionBuffer {
     /// `bucket_of[i]` = index of the bucket holding layer `i`'s
     /// parameters (meaningless for empty spans).
     bucket_of: Vec<usize>,
+    /// The flat gradient, persistent across steps so packing and
+    /// exchanging it allocate nothing.
+    grad: Vec<f32>,
 }
 
 impl FusionBuffer {
@@ -212,11 +215,10 @@ impl FusionBuffer {
             if start == end {
                 continue;
             }
-            let b = open.get_or_insert_with(|| Bucket {
+            let b = open.get_or_insert(Bucket {
                 start,
                 end: start,
                 first_layer: i,
-                slab: Vec::new(),
             });
             b.end = end;
             b.first_layer = b.first_layer.min(i);
@@ -229,13 +231,11 @@ impl FusionBuffer {
         if let Some(b) = open {
             buckets.push(b);
         }
-        for b in &mut buckets {
-            b.slab = vec![0.0; b.end - b.start];
-        }
         FusionBuffer {
             buckets,
             spans: layer_spans.to_vec(),
             bucket_of,
+            grad: vec![0.0; total],
         }
     }
 
@@ -244,32 +244,49 @@ impl FusionBuffer {
         &self.buckets
     }
 
-    /// Copies layer `i`'s parameter gradients into its bucket slab
-    /// (zero-allocation). Returns `Some(bucket_index)` when this layer
-    /// completes the bucket — backward order guarantees every other
-    /// layer of the bucket has already been packed.
-    pub fn pack_layer(&mut self, i: usize, layer: &dyn Layer) -> Option<usize> {
-        let (start, end) = self.spans[i];
-        if start == end {
-            return None;
-        }
-        let bidx = self.bucket_of[i];
-        let b = &mut self.buckets[bidx];
-        let off = start - b.start;
-        nn::param::copy_grads_into(&layer.params(), &mut b.slab[off..off + (end - start)]);
-        (i == b.first_layer).then_some(bidx)
+    /// The flat gradient as last packed (and, once every bucket has been
+    /// reduced in place, exchanged).
+    pub(crate) fn grad(&self) -> &[f32] {
+        &self.grad
     }
 
-    /// Takes bucket `bidx`'s slab for the exchange (ownership moves to
-    /// the comm lane); pair with [`FusionBuffer::return_slab`].
-    pub fn take_slab(&mut self, bidx: usize) -> Vec<f32> {
-        std::mem::take(&mut self.buckets[bidx].slab)
-    }
-
-    /// Returns an exchanged slab to its bucket for reuse next step.
-    pub fn return_slab(&mut self, bidx: usize, slab: Vec<f32>) {
-        debug_assert_eq!(slab.len(), self.buckets[bidx].len());
-        self.buckets[bidx].slab = slab;
+    /// Runs `model`'s backward pass, copying each layer's parameter
+    /// gradients into its range of the flat gradient (zero-allocation).
+    /// Right after a bucket's lowest-indexed layer finishes,
+    /// `on_bucket(bidx, range)` receives that bucket's range.
+    ///
+    /// Backward runs back-to-front, so buckets complete in descending
+    /// flat order and the ranges still being packed always form the
+    /// prefix `grad[..b.start]`: each completed bucket is split off that
+    /// prefix, and the `&mut` range handed out is disjoint from every
+    /// later write. The caller may therefore reduce it in place, inline
+    /// or on another lane, while backward continues.
+    pub(crate) fn backward<'a>(
+        &'a mut self,
+        model: &mut Sequential,
+        grad_out: &Tensor,
+        mut on_bucket: impl FnMut(usize, &'a mut [f32]),
+    ) {
+        let FusionBuffer {
+            buckets,
+            spans,
+            bucket_of,
+            grad,
+        } = self;
+        let mut packing: &'a mut [f32] = grad.as_mut_slice();
+        model.backward_with(grad_out, |i, layer| {
+            let (start, end) = spans[i];
+            if start == end {
+                return;
+            }
+            nn::param::copy_grads_into(&layer.params(), &mut packing[start..end]);
+            let bidx = bucket_of[i];
+            if i == buckets[bidx].first_layer {
+                let (rest, done) = std::mem::take(&mut packing).split_at_mut(buckets[bidx].start);
+                packing = rest;
+                on_bucket(bidx, done);
+            }
+        });
     }
 }
 
@@ -323,5 +340,25 @@ mod tests {
     fn parameterless_model_has_no_buckets() {
         let fb = FusionBuffer::new(&[(0, 0), (0, 0)], 0, Some(1024));
         assert!(fb.buckets().is_empty());
+    }
+
+    #[test]
+    fn backward_hands_out_each_bucket_back_to_front_over_the_packed_gradient() {
+        use nn::Layer as _;
+        let mut rng = tensor::Rng::seed(3);
+        let mut model = Sequential::new()
+            .push(nn::Dense::new(4, 3, &mut rng))
+            .push(nn::Relu::new())
+            .push(nn::Dense::new(3, 2, &mut rng));
+        let x = Tensor::from_vec((0..8).map(|i| i as f32 * 0.1).collect(), &[2, 4]);
+        let out = model.forward(&x, true);
+        let g = Tensor::from_vec(vec![1.0; out.data().len()], out.shape());
+        let mut fb = FusionBuffer::new(&model.layer_param_spans(), model.param_count(), Some(1));
+        let mut seen = Vec::new();
+        fb.backward(&mut model, &g, |bidx, seg| seen.push((bidx, seg.len())));
+        // One bucket per Dense (15 and 8 scalars), completed last-first.
+        assert_eq!(seen, vec![(1, 8), (0, 15)]);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(fb.grad()), bits(&model.grads_vec()));
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! The execution model mirrors `horovodrun -np N`: every rank owns a full
 //! model replica and a shard of the training data; each step it computes
-//! gradients on its local mini-batch, all ranks average gradients with a
-//! ring allreduce, and each applies the identical optimiser update —
-//! so replicas never diverge (asserted in tests).
+//! gradients on its local mini-batch, all ranks average gradients with an
+//! allreduce — by default the partition-invariant pipeline chain
+//! ([`ExchangeDispatch::Pipeline`]) — and each applies the identical
+//! optimiser update, so replicas never diverge (every run ends with an
+//! exact parameter-hash check across ranks).
 //!
 //! Large-batch hygiene follows Goyal et al. (the recipe Sedona et al.
 //! use on JUWELS): the learning rate is scaled linearly with the number
@@ -64,8 +66,8 @@ use data::stream::{with_prefetch, BatchSource, BatchStream, SlabPool};
 use data::Dataset;
 use msa_core::SimTime;
 use msa_net::{
-    CollectiveAlgo, CommOptions, Communicator, FaultPlan, GradCodec, LinkParams, RankKilled,
-    ThreadComm,
+    CollectiveAlgo, CommOptions, Communicator, FaultPlan, GradCodec, LinkParams, PointToPoint as _,
+    RankKilled, ThreadComm,
 };
 use msa_obs::{key, MetricsRegistry, Recorder, VirtualClock};
 use nn::{serialize, u64_to_words, words_to_u64, Layer, Loss, Optimizer, Sequential};
@@ -570,22 +572,37 @@ impl Trainer {
             Some(snap) => Some(decode_resume(&self.cfg, &model_fn, snap)?),
             None => None,
         };
-        Ok(run_engine(
-            &self.cfg,
-            dataset,
-            &model_fn,
-            &opt_fn,
-            &loss,
-            self.fault,
-            resume.as_ref(),
-            &self.cost,
-            self.fusion,
-            &self.dispatch,
-            self.codec,
-            self.prefetch,
-            self.tag.as_deref(),
-            self.recorder.as_deref(),
-        ))
+        assert!(self.cfg.workers >= 1);
+        assert!(self.cfg.epochs >= 1);
+        let start = Instant::now();
+        let opts = CommOptions::new().fault_opt(self.fault).link(self.cost.link);
+        let results = ThreadComm::run_with(self.cfg.workers, &opts, |comm| {
+            let mut rank = RankLoop::new(self, comm, &model_fn, &opt_fn, &loss, resume.as_ref());
+            let ran = rank.train(dataset, resume.as_ref());
+            rank.finish(ran)
+        });
+        let wall_secs = start.elapsed().as_secs_f64();
+
+        // Merge per-rank registries in rank order: all msa-obs values are
+        // order-independent under merge, but a fixed order keeps even the
+        // pathological cases (duplicate gauge keys) deterministic.
+        let mut rank0 = None;
+        for (r, run) in results.into_iter().enumerate() {
+            if let Some(rec) = &self.recorder {
+                rec.merge_snapshot(&run.metrics.snapshot());
+            }
+            if r == 0 {
+                rank0 = Some(run.outcome);
+            }
+        }
+        // lint: allow(unwrap) -- ThreadComm::run returns one result per rank and workers >= 1
+        Ok(match rank0.expect("at least one rank") {
+            Ok(mut report) => {
+                report.wall_secs = wall_secs;
+                TrainOutcome::Completed(report)
+            }
+            Err((failure, snapshot)) => TrainOutcome::Interrupted { failure, snapshot },
+        })
     }
 }
 
@@ -656,585 +673,546 @@ struct RankRun {
     metrics: MetricsRegistry,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_engine<M, O, L>(
-    cfg: &TrainConfig,
-    dataset: &Dataset,
-    model_fn: &M,
-    opt_fn: &O,
-    loss: &L,
-    fault: Option<FaultPlan>,
-    resume: Option<&ResumeState>,
-    cost: &StepCost,
-    fusion: FusionConfig,
-    dispatch: &ExchangeDispatch,
-    codec: GradCodec,
-    prefetch: usize,
-    tag: Option<&str>,
-    recorder: Option<&MetricsRegistry>,
-) -> TrainOutcome
-where
-    M: Fn(u64) -> Sequential + Sync,
-    O: Fn(f32) -> Box<dyn Optimizer> + Sync,
-    L: Loss + Sync,
-{
-    assert!(cfg.workers >= 1);
-    assert!(cfg.epochs >= 1);
-    let start = Instant::now();
-
-    let opts = CommOptions::new().fault_opt(fault).link(cost.link);
-    let results = ThreadComm::run_with(cfg.workers, &opts, |comm| {
-        train_rank(
-            comm, cfg, dataset, model_fn, opt_fn, loss, resume, cost, fusion, dispatch, codec,
-            prefetch, tag,
-        )
-    });
-
-    let wall_secs = start.elapsed().as_secs_f64();
-    // Merge per-rank registries in rank order: all msa-obs values are
-    // order-independent under merge, but a fixed order keeps even the
-    // pathological cases (duplicate gauge keys) deterministic.
-    let mut rank0 = None;
-    for (r, run) in results.into_iter().enumerate() {
-        if let Some(rec) = recorder {
-            rec.merge_snapshot(&run.metrics.snapshot());
-        }
-        if r == 0 {
-            rank0 = Some(run.outcome);
-        }
-    }
-    // lint: allow(unwrap) -- ThreadComm::run returns one result per rank and workers >= 1
-    let rank0 = rank0.expect("at least one rank");
-    match rank0 {
-        Ok(mut report) => {
-            report.wall_secs = wall_secs;
-            TrainOutcome::Completed(report)
-        }
-        Err((failure, snapshot)) => TrainOutcome::Interrupted { failure, snapshot },
-    }
+/// Allgathers `values` from every rank exactly, one `Vec` per rank in
+/// rank order. Each `u64` rides the f32 data plane as two bit-pattern
+/// words ([`u64_to_words`]), so control words of any magnitude — step
+/// counts, RNG positions, loss-sum bits, hashes — arrive unchanged.
+fn allgather_u64<C: Communicator + ?Sized>(comm: &C, values: &[u64]) -> Vec<Vec<u64>> {
+    let words: Vec<f32> = values.iter().flat_map(|&v| u64_to_words(v)).collect();
+    comm.allgather(&words)
+        .iter()
+        .map(|w| w.chunks_exact(2).map(|p| words_to_u64([p[0], p[1]])).collect())
+        .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn train_rank<M, O, L>(
-    comm: &ThreadComm,
-    cfg: &TrainConfig,
-    dataset: &Dataset,
-    model_fn: &M,
-    opt_fn: &O,
-    loss: &L,
-    resume: Option<&ResumeState>,
-    cost: &StepCost,
-    fusion_cfg: FusionConfig,
-    dispatch: &ExchangeDispatch,
-    codec: GradCodec,
-    prefetch: usize,
-    tag: Option<&str>,
-) -> RankRun
-where
-    M: Fn(u64) -> Sequential + Sync,
-    O: Fn(f32) -> Box<dyn Optimizer> + Sync,
-    L: Loss + Sync,
-{
-    use msa_net::PointToPoint as _;
-    let rank = comm.rank();
-    let size = comm.size();
-    let reg = MetricsRegistry::new();
-    let clock = VirtualClock::new();
-
-    // Identical init everywhere, then belt-and-braces broadcast from 0.
-    // On resume every rank loads the snapshot's weights instead, and the
-    // broadcast degenerates to an identity check.
-    let mut model = model_fn(cfg.seed);
-    if let Some(r) = resume {
-        model.set_values(&r.params);
-        model.set_state(&r.state);
-    }
-    let mut params = model.values_vec();
-    comm.broadcast(&mut params, 0);
-    let n_params = params.len();
-    model.set_values(&params);
-
-    let start_epoch = resume.map_or(0, |r| r.progress.epoch as usize);
-    let mut opt = opt_fn(effective_lr(cfg, start_epoch));
-    if let Some(r) = resume {
-        opt.load_state(&r.opt_state);
-    }
-    let shard = dataset.shard(rank, size);
-    let mut shuffle_rng = Rng::seed(cfg.seed ^ (0xD15C0 + rank as u64));
-    if let Some(r) = resume {
-        // Seek the shuffle stream to where the interrupted epoch drew its
-        // batches; the re-draw below then reproduces the same permutation.
-        shuffle_rng.set_word_pos(r.progress.rng_pos_start[rank]);
-    }
-
-    let mut epochs: Vec<EpochStats> = resume.map_or_else(Vec::new, |r| {
-        r.progress
-            .history
-            .iter()
-            .enumerate()
-            .map(|(epoch, &(mean_loss, lr))| EpochStats {
-                epoch,
-                mean_loss,
-                lr,
-            })
-            .collect()
-    });
-    let mut steps_per_rank = resume.map_or(0, |r| r.progress.steps_done as usize);
-    let mut checkpoints: Vec<CheckpointRecord> = Vec::new();
-    let mut latest_snapshot: Option<Vec<u8>> = None;
-    let mut totals = PhaseBreakdown::default();
-    let mut epoch_bds: Vec<EpochBreakdown> = Vec::new();
-    let mut steps_run: u64 = 0;
-    let mut allreduce_bytes: u64 = 0;
-
-    // Persistent gradient-exchange state: the layer-aligned fusion
-    // buckets, the flat gradient staging buffer, and the collectives'
-    // scratch arena — all warm after the first step, so steady-state
-    // exchanges allocate nothing.
-    let mut fusion = FusionBuffer::new(
-        &model.layer_param_spans(),
-        n_params,
-        fusion_cfg.bucket_bytes,
-    );
-    let mut flat = vec![0.0f32; n_params];
-    let mut comm_arena = msa_net::Arena::new();
-    // Sparse codecs carry per-bucket error-feedback residuals (the
-    // residual is positional, so it must live with its bucket). Dense
-    // and bf16 need none. Slabs inside each compressor are warm after
-    // the first step, like the arena.
-    let mut compressors: Vec<TopKCompressor> = match codec {
-        GradCodec::SparseTopK { ratio } => fusion
-            .buckets()
-            .iter()
-            .map(|b| TopKCompressor::new(b.len(), ratio))
-            .collect(),
-        _ => Vec::new(),
-    };
-    // Batch-buffer slabs circulated by the prefetch ring; warm after the
-    // first epoch, so steady-state epochs assemble without allocating.
-    let mut slab_pool = SlabPool::new();
-
-    for epoch in start_epoch..cfg.epochs {
-        let lr = effective_lr(cfg, epoch);
-        opt.set_lr(lr);
-        let rng_pos_start = shuffle_rng.word_pos();
-        // Lazy batch stream: draws the epoch permutation up front (the
-        // same single RNG consumption the retired eager path made, so
-        // checkpointed RNG positions are unchanged) and assembles
-        // mini-batches on demand — no epoch-wide materialization spike.
-        let mut stream = BatchStream::new(&shard, cfg.batch_per_worker, &mut shuffle_rng);
-        let rng_pos_now = shuffle_rng.word_pos();
-        // Every rank must run the same number of steps per epoch or the
-        // collectives deadlock; agree on the global minimum batch count.
-        let min_steps = {
-            let all = comm.allgather(&[stream.num_batches() as f32]);
-            all.iter().map(|v| v[0]).fold(f32::INFINITY, f32::min) as usize
-        };
-
-        // First resumed epoch: re-enter mid-epoch — skip the steps the
-        // snapshot already holds and restore the loss accumulator.
-        let (skip, mut loss_sum) = match resume {
-            Some(r) if epoch == start_epoch => {
-                assert_eq!(
-                    rng_pos_now, r.progress.rng_pos_now[rank],
-                    "rank {rank}: shuffle stream diverged on resume"
-                );
-                (
-                    r.progress.step_in_epoch as usize,
-                    f64::from_bits(r.progress.loss_sum_bits[rank]),
-                )
-            }
-            _ => (0, 0.0),
-        };
-        let mut step_in_epoch = skip;
-        let mut eb = PhaseBreakdown::default();
-
-        // The per-step body, written once over the [`BatchSource`] pull
-        // interface and run either inline (depth 0, the serial seed
-        // schedule) or against the prefetch ring. `Err` is the
-        // fault-abort path.
-        let mut epoch_body = |src: &mut dyn BatchSource| -> Result<(), RankKilled> {
-            // Resumed epochs re-enter mid-way: pull and recycle the
-            // already-trained batches without pricing anything (the
-            // retired eager path assembled them and priced nothing).
-            for _ in 0..skip.min(min_steps) {
-                if let Some(b) = src.next_batch() {
-                    src.recycle(b);
-                }
-            }
-            // Modeled ring pricing starts at the epoch's current clock;
-            // at depth 0 the pipe degenerates to the serial schedule.
-            let mut pipe = StagePipe::new(prefetch, clock.now_ps());
-
-            for _ in skip..min_steps {
-                // A dead rank makes the next collective impossible for
-                // every rank; the armed fault therefore aborts all of
-                // them here, at the same lock-step boundary.
-                comm.poll_fault(steps_per_rank as u64)?;
-                let Some((bx, by)) = src.next_batch() else { break };
-
-                // Phase 1: stage the mini-batch host→device. The full
-                // cost lands in `stage_ps`; the consumer only stalls for
-                // the share the modeled producer had not already
-                // assembled, and the hidden remainder is accounted in
-                // `stage_overlap_saved_ps` — keeping the partition
-                // invariant exact.
-                let batch_bytes =
-                    ((bx.data().len() + by.data().len()) * size_of::<f32>()) as u64;
-                let s_ps = msa_obs::simtime_to_ps(cost.stage_time(batch_bytes));
-                let stall = pipe.arrive(s_ps, clock.now_ps());
-                clock.advance_ps(stall);
-                pipe.popped(clock.now_ps());
-                eb.stage_ps += s_ps;
-                eb.stage_overlap_saved_ps += s_ps - stall;
-
-            // Phases 2+3: forward + backward, and the Horovod moment —
-            // average gradients across ranks. With overlap on, each
-            // fusion bucket's allreduce launches on a pool lane as soon
-            // as its layers finish backward; otherwise the exchange runs
-            // serialized after backward. Both paths reduce every bucket
-            // through the same [`ExchangeDispatch`], so fused and
-            // serialized schedules of one partition agree bit-for-bit;
-            // the default pipeline dispatch is additionally
-            // partition-invariant (bits never depend on `bucket_bytes`).
-            model.zero_grad();
-            let pred = model.forward(&bx, true);
-            let (l, grad) = loss.compute(&pred, &by);
-            let samples = bx.shape()[0];
-            if fusion_cfg.overlap && !fusion.buckets().is_empty() {
-                exchange_overlapped(
-                    comm,
-                    &mut model,
-                    &grad,
-                    &mut fusion,
-                    &mut flat,
-                    &mut comm_arena,
-                    dispatch,
-                    codec,
-                    &mut compressors,
-                );
-            } else {
-                model.backward(&grad);
-                nn::param::copy_grads_into(&model.params(), &mut flat);
-                for (bidx, b) in fusion.buckets().iter().enumerate().rev() {
-                    let seg = &mut flat[b.start..b.end];
-                    dispatch.reduce_bucket_codec(
-                        comm,
-                        seg,
-                        &mut comm_arena,
-                        codec,
-                        compressors.get_mut(bidx),
-                    );
-                }
-                model.set_grads(&flat);
-            }
-
-            // Price phase 2 …
-            let c_ps = clock.advance(cost.compute_time(n_params, samples));
-            eb.compute_ps += c_ps;
-
-            // … and phase 3: per-bucket α–β allreduce cost, overlapped
-            // against the backward tail when the overlap lane is on.
-            // Backward is 4 of the 6 modeled FLOPs/param, and it sweeps
-            // the flat gradient top-down, so the bucket starting at
-            // flat offset `a` is ready once (total − a)/total of the
-            // backward time has elapsed. Buckets flush back-to-front and
-            // serialize on the comm lane: finish_k = max(finish_{k−1},
-            // ready_k) + allreduce_k. The step's wall time advances by
-            // max(compute, finish_last) − compute; the hidden remainder
-            // is `overlap_saved_ps` (zero when serialized, where every
-            // ready_k = compute).
-            let t_bwd = c_ps * 2 / 3;
-            let total = n_params as u64;
-            let mut finish: u64 = 0;
-            let mut comm_ps: u64 = 0;
-            for b in fusion.buckets().iter().rev() {
-                // Price what actually crosses the wire: the codec's
-                // encoded byte count. For Dense32 this is exactly
-                // `len × 4` — the seed pricing, bit for bit.
-                let bytes = codec.wire_bytes(b.len()) as u64;
-                let a_ps = msa_obs::simtime_to_ps(cost.allreduce_time(size, bytes));
-                let ready = if fusion_cfg.overlap {
-                    c_ps - t_bwd
-                        + ((t_bwd as u128 * (total - b.start as u64) as u128) / total as u128)
-                            as u64
-                } else {
-                    c_ps
-                };
-                finish = finish.max(ready) + a_ps;
-                comm_ps += a_ps;
-                allreduce_bytes += bytes;
-            }
-            let extra = finish.saturating_sub(c_ps);
-            clock.advance_ps(extra);
-            eb.allreduce_ps += comm_ps;
-            eb.overlap_saved_ps += comm_ps - extra;
-
-            opt.step(&mut model.params_mut());
-            loss_sum += l as f64;
-            steps_per_rank += 1;
-            step_in_epoch += 1;
-            steps_run += 1;
-
-            if let Some(policy) = &cfg.checkpoint {
-                if (steps_per_rank as u64).is_multiple_of(policy.every_steps) {
-                    // Gather per-rank progress (RNG positions + partial
-                    // loss sums) as f32 bit-patterns — exact transport,
-                    // same trick as the sparse-allreduce index encoding.
-                    let mut words = Vec::with_capacity(6);
-                    words.extend_from_slice(&u64_to_words(rng_pos_start));
-                    words.extend_from_slice(&u64_to_words(rng_pos_now));
-                    words.extend_from_slice(&u64_to_words(loss_sum.to_bits()));
-                    let gathered = comm.allgather(&words);
-                    if rank == 0 {
-                        let progress = TrainerProgress {
-                            workers: size as u32,
-                            seed: cfg.seed,
-                            epoch: epoch as u64,
-                            step_in_epoch: step_in_epoch as u64,
-                            steps_done: steps_per_rank as u64,
-                            lr_bits: lr.to_bits(),
-                            history: epochs.iter().map(|e| (e.mean_loss, e.lr)).collect(),
-                            rng_pos_start: gathered
-                                .iter()
-                                .map(|w| words_to_u64([w[0], w[1]]))
-                                .collect(),
-                            rng_pos_now: gathered
-                                .iter()
-                                .map(|w| words_to_u64([w[2], w[3]]))
-                                .collect(),
-                            loss_sum_bits: gathered
-                                .iter()
-                                .map(|w| words_to_u64([w[4], w[5]]))
-                                .collect(),
-                        };
-                        let snap = serialize::save_with(&model, &opt.state(), &progress.encode());
-                        let record = CheckpointRecord {
-                            global_step: steps_per_rank as u64,
-                            epoch,
-                            bytes: snap.len() as u64,
-                            write_cost: policy.target.checkpoint_cost_bytes(snap.len() as u64),
-                        };
-                        // Phase 4: the snapshot write (rank 0 pays it).
-                        eb.checkpoint_ps += clock.advance(record.write_cost);
-                        checkpoints.push(record);
-                        latest_snapshot = Some(snap);
-                    }
-                }
-            }
-
-                // Hand the batch buffers back so the ring can reuse them
-                // (a no-op on the inline path).
-                src.recycle((bx, by));
-            }
-            Ok(())
-        };
-
-        let body = if prefetch == 0 {
-            epoch_body(&mut stream)
-        } else {
-            with_prefetch(&mut stream, prefetch, &mut slab_pool, |src| epoch_body(src))
-        };
-        if let Err(killed) = body {
-            totals.absorb(&eb);
-            record_rank_metrics(
-                &reg,
-                comm,
-                rank,
-                tag,
-                &totals,
-                &epoch_bds,
-                steps_run,
-                allreduce_bytes,
-                &epochs,
-                &checkpoints,
-                clock.now_ps(),
-            );
-            return RankRun {
-                outcome: Err((killed, latest_snapshot)),
-                metrics: reg,
-            };
-        }
-
-        // Average the epoch loss over ranks for reporting.
-        let mut stat = vec![(loss_sum / min_steps.max(1) as f64) as f32];
-        comm.allreduce_mean(&mut stat);
-        epochs.push(EpochStats {
-            epoch,
-            mean_loss: stat[0],
-            lr,
-        });
-        totals.absorb(&eb);
-        epoch_bds.push(EpochBreakdown { epoch, phases: eb });
-    }
-
-    // Replicas must have stayed in lock-step: compare a parameter digest.
-    let digest: f32 = model.values_vec().iter().sum();
-    let all = comm.allgather(&[digest]);
-    for (r, d) in all.iter().enumerate() {
-        assert!(
-            (d[0] - digest).abs() <= 1e-3 * (1.0 + digest.abs()),
-            "rank {r} diverged: {} vs {}",
-            d[0],
-            digest
-        );
-    }
-
-    record_rank_metrics(
-        &reg,
-        comm,
-        rank,
-        tag,
-        &totals,
-        &epoch_bds,
-        steps_run,
-        allreduce_bytes,
-        &epochs,
-        &checkpoints,
-        clock.now_ps(),
-    );
-    RankRun {
-        outcome: Ok(TrainReport {
-            epochs,
-            wall_secs: 0.0, // stamped by the caller
-            final_params: model.values_vec(),
-            final_state: model.state(),
-            steps_per_rank,
-            checkpoints,
-            latest_snapshot,
-            sim_wall_ps: clock.now_ps(),
-            breakdown: totals,
-            epoch_breakdown: epoch_bds,
-        }),
-        metrics: reg,
-    }
+/// FNV-1a over the parameters' bit patterns.
+fn params_hash(params: &[f32]) -> u64 {
+    params.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, p| {
+        p.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    })
 }
 
-/// Fused, overlapped gradient exchange — the executed half of the
-/// Horovod schedule. Backward runs on the caller lane; a dedicated
-/// thread-pool lane drains completed buckets and allreduces each
-/// (through `dispatch`) while later (earlier-layer) gradients are
-/// still being computed.
+/// Replicas are bit-identical by construction, so any differing bit is
+/// a desync: allgathers every rank's [`params_hash`] and returns the
+/// first rank whose replica differs from rank 0's (`None` when all
+/// agree).
+fn diverging_rank<C: Communicator + ?Sized>(comm: &C, params: &[f32]) -> Option<usize> {
+    let hashes = allgather_u64(comm, &[params_hash(params)]);
+    hashes.iter().position(|h| h[0] != hashes[0][0])
+}
+
+/// Where one rank is inside the current epoch.
+struct EpochState {
+    epoch: usize,
+    lr: f32,
+    /// Shuffle-stream positions before and after the epoch's permutation
+    /// draw (checkpointed so a resume re-draws the same batches).
+    rng_pos_start: u64,
+    rng_pos_now: u64,
+    step_in_epoch: usize,
+    loss_sum: f64,
+    phases: PhaseBreakdown,
+    pipe: StagePipe,
+}
+
+/// One rank of the Horovod loop: forward, backward fused with the
+/// gradient exchange, optimiser update, and a checkpoint when due.
 ///
-/// Deadlock-freedom: `rayon::join` always starts the first closure on
-/// the caller, so the backward producer runs even when the pool is
-/// saturated — the comm lane then executes afterwards on the caller and
-/// simply drains the unbounded channel serialized (correct, just without
-/// overlap). Cross-rank safety is the pipeline schedule's: msa-verify
-/// model-checks the bucketed schedule under `Bounded(1)` channels, and
-/// `ThreadComm`'s credit pools are `Bounded(2)`.
-#[allow(clippy::too_many_arguments)]
-fn exchange_overlapped(
-    comm: &ThreadComm,
-    model: &mut Sequential,
-    grad: &Tensor,
-    fusion: &mut FusionBuffer,
-    flat: &mut [f32],
-    scratch: &mut msa_net::Arena,
-    dispatch: &ExchangeDispatch,
-    codec: GradCodec,
-    compressors: &mut [TopKCompressor],
-) {
-    let nb = fusion.buckets().len();
-    let (tx, rx) = crossbeam::channel::unbounded();
-    let mut done: Vec<Option<Vec<f32>>> = (0..nb).map(|_| None).collect();
-    rayon::join(
-        || {
-            model.backward_with(grad, |i, layer| {
-                if let Some(bidx) = fusion.pack_layer(i, layer) {
-                    // Unbounded channel: handing the bucket to the comm
-                    // lane never blocks the backward pass. A send error
-                    // is impossible while `rx` lives below.
-                    let _ = tx.send((bidx, fusion.take_slab(bidx)));
-                }
-            });
-            drop(tx);
-        },
-        || {
-            while let Ok((bidx, mut slab)) = rx.recv() {
-                dispatch.reduce_bucket_codec(
-                    comm,
-                    &mut slab,
-                    scratch,
-                    codec,
-                    compressors.get_mut(bidx),
-                );
-                done[bidx] = Some(slab);
-            }
-        },
-    );
-    for (bidx, slot) in done.into_iter().enumerate() {
-        // lint: allow(unwrap) -- backward_with visits every layer, so every bucket flushes
-        let slab = slot.expect("every bucket is exchanged");
-        let b = &fusion.buckets()[bidx];
-        flat[b.start..b.end].copy_from_slice(&slab);
-        fusion.return_slab(bidx, slab);
-    }
-    model.set_grads(flat);
-}
-
-/// Dumps one rank's phase totals, step counters and collective traffic
-/// into its local registry. Called on both the completed and the
-/// fault-interrupted exit path so killed runs still report.
-#[allow(clippy::too_many_arguments)]
-fn record_rank_metrics(
-    reg: &MetricsRegistry,
-    comm: &ThreadComm,
-    rank: usize,
-    tag: Option<&str>,
-    totals: &PhaseBreakdown,
-    epoch_bds: &[EpochBreakdown],
+/// It borrows the [`Trainer`]'s configuration and owns the rank's
+/// persistent state — model, optimiser, the fusion buffer holding the
+/// flat gradient, the collectives' scratch arena, the top-k
+/// compressors, the virtual clock and the run's totals — all warm after
+/// the first step, so steady-state steps allocate nothing in the
+/// exchange. Completed and killed runs both leave through
+/// [`RankLoop::finish`].
+struct RankLoop<'a, L> {
+    trainer: &'a Trainer,
+    comm: &'a ThreadComm,
+    loss: &'a L,
+    model: Sequential,
+    opt: Box<dyn Optimizer>,
+    n_params: usize,
+    fusion: FusionBuffer,
+    arena: msa_net::Arena,
+    /// Sparse codecs carry per-bucket error-feedback residuals (the
+    /// residual is positional, so it lives with its bucket). Dense and
+    /// bf16 need none.
+    compressors: Vec<TopKCompressor>,
+    clock: VirtualClock,
+    totals: PhaseBreakdown,
+    epochs: Vec<EpochStats>,
+    epoch_bds: Vec<EpochBreakdown>,
+    /// Steps this rank has executed, including pre-resume steps.
+    steps_per_rank: usize,
+    /// Steps executed in this run only.
     steps_run: u64,
     allreduce_bytes: u64,
-    epochs: &[EpochStats],
-    checkpoints: &[CheckpointRecord],
-    sim_wall_ps: u64,
-) {
-    use msa_net::PointToPoint as _;
-    let rank_s = rank.to_string();
-    let mut labels: Vec<(&str, &str)> = vec![("rank", &rank_s)];
-    if let Some(t) = tag {
-        labels.push(("run", t));
+    checkpoints: Vec<CheckpointRecord>,
+    latest_snapshot: Option<Vec<u8>>,
+}
+
+impl<'a, L: Loss> RankLoop<'a, L> {
+    fn new<M, O>(
+        trainer: &'a Trainer,
+        comm: &'a ThreadComm,
+        model_fn: &M,
+        opt_fn: &O,
+        loss: &'a L,
+        resume: Option<&ResumeState>,
+    ) -> Self
+    where
+        M: Fn(u64) -> Sequential,
+        O: Fn(f32) -> Box<dyn Optimizer>,
+    {
+        let cfg = &trainer.cfg;
+        // Identical init everywhere, then belt-and-braces broadcast from
+        // 0. On resume every rank loads the snapshot's weights instead,
+        // and the broadcast degenerates to an identity check.
+        let mut model = model_fn(cfg.seed);
+        if let Some(r) = resume {
+            model.set_values(&r.params);
+            model.set_state(&r.state);
+        }
+        let mut params = model.values_vec();
+        comm.broadcast(&mut params, 0);
+        let n_params = params.len();
+        model.set_values(&params);
+
+        let mut opt = opt_fn(effective_lr(cfg, resume.map_or(0, |r| r.progress.epoch as usize)));
+        if let Some(r) = resume {
+            opt.load_state(&r.opt_state);
+        }
+        let fusion = FusionBuffer::new(
+            &model.layer_param_spans(),
+            n_params,
+            trainer.fusion.bucket_bytes,
+        );
+        let compressors = match trainer.codec {
+            GradCodec::SparseTopK { ratio } => fusion
+                .buckets()
+                .iter()
+                .map(|b| TopKCompressor::new(b.len(), ratio))
+                .collect(),
+            _ => Vec::new(),
+        };
+        let epochs = resume.map_or_else(Vec::new, |r| {
+            r.progress
+                .history
+                .iter()
+                .enumerate()
+                .map(|(epoch, &(mean_loss, lr))| EpochStats {
+                    epoch,
+                    mean_loss,
+                    lr,
+                })
+                .collect()
+        });
+        RankLoop {
+            trainer,
+            comm,
+            loss,
+            model,
+            opt,
+            n_params,
+            fusion,
+            arena: msa_net::Arena::new(),
+            compressors,
+            clock: VirtualClock::new(),
+            totals: PhaseBreakdown::default(),
+            epochs,
+            epoch_bds: Vec::new(),
+            steps_per_rank: resume.map_or(0, |r| r.progress.steps_done as usize),
+            steps_run: 0,
+            allreduce_bytes: 0,
+            checkpoints: Vec::new(),
+            latest_snapshot: None,
+        }
     }
 
-    for (phase, ps) in [
-        ("stage", totals.stage_ps),
-        ("compute", totals.compute_ps),
-        ("allreduce", totals.allreduce_ps),
-        ("checkpoint", totals.checkpoint_ps),
-    ] {
-        reg.time_ps(&key(&format!("trainer.phase.{phase}.time"), &labels), ps);
-    }
-    reg.add(&key("trainer.steps", &labels), steps_run);
-    reg.add(&key("trainer.allreduce.bytes", &labels), allreduce_bytes);
-    reg.time_ps(&key("trainer.overlap.saved", &labels), totals.overlap_saved_ps);
-    reg.time_ps(
-        &key("trainer.stage_overlap.saved", &labels),
-        totals.stage_overlap_saved_ps,
-    );
-    reg.time_ps(&key("trainer.sim_wall", &labels), sim_wall_ps);
-    if let Some(stats) = comm.stats() {
-        stats.export().record_into(reg, &labels);
+    /// Trains the remaining epochs on this rank's shard. `Err` is the
+    /// fault-abort path: the armed fault stops every rank at the same
+    /// lock-step boundary.
+    fn train(&mut self, dataset: &Dataset, resume: Option<&ResumeState>) -> Result<(), RankKilled> {
+        let cfg = &self.trainer.cfg;
+        let prefetch = self.trainer.prefetch;
+        let rank = self.comm.rank();
+        let shard = dataset.shard(rank, self.comm.size());
+        let mut shuffle_rng = Rng::seed(cfg.seed ^ (0xD15C0 + rank as u64));
+        if let Some(r) = resume {
+            // Seek the shuffle stream to where the interrupted epoch drew
+            // its batches; the re-draw below then reproduces the same
+            // permutation.
+            shuffle_rng.set_word_pos(r.progress.rng_pos_start[rank]);
+        }
+        // Batch-buffer slabs circulated by the prefetch ring; warm after
+        // the first epoch, so steady-state epochs assemble without
+        // allocating.
+        let mut slab_pool = SlabPool::new();
+        let start_epoch = resume.map_or(0, |r| r.progress.epoch as usize);
+
+        for epoch in start_epoch..cfg.epochs {
+            let lr = effective_lr(cfg, epoch);
+            self.opt.set_lr(lr);
+            let rng_pos_start = shuffle_rng.word_pos();
+            // Lazy batch stream: draws the epoch permutation up front (the
+            // same single RNG consumption the retired eager path made, so
+            // checkpointed RNG positions are unchanged) and assembles
+            // mini-batches on demand.
+            let mut stream = BatchStream::new(&shard, cfg.batch_per_worker, &mut shuffle_rng);
+            let rng_pos_now = shuffle_rng.word_pos();
+            // Every rank must run the same number of steps per epoch or
+            // the collectives deadlock; agree on the global minimum.
+            let min_steps = allgather_u64(self.comm, &[stream.num_batches() as u64])
+                .iter()
+                .map(|v| v[0])
+                .min()
+                .unwrap_or(0) as usize;
+
+            // First resumed epoch: re-enter mid-epoch — skip the steps the
+            // snapshot already holds and restore the loss accumulator.
+            let (skip, loss_sum) = match resume {
+                Some(r) if epoch == start_epoch => {
+                    assert_eq!(
+                        rng_pos_now, r.progress.rng_pos_now[rank],
+                        "rank {rank}: shuffle stream diverged on resume"
+                    );
+                    (
+                        r.progress.step_in_epoch as usize,
+                        f64::from_bits(r.progress.loss_sum_bits[rank]),
+                    )
+                }
+                _ => (0, 0.0),
+            };
+            let mut ep = EpochState {
+                epoch,
+                lr,
+                rng_pos_start,
+                rng_pos_now,
+                step_in_epoch: skip,
+                loss_sum,
+                phases: PhaseBreakdown::default(),
+                // Modeled ring pricing starts at the epoch's current
+                // clock; at depth 0 the pipe is the serial schedule.
+                pipe: StagePipe::new(prefetch, self.clock.now_ps()),
+            };
+
+            // The steps run either inline (depth 0, the serial seed
+            // schedule) or against the prefetch ring.
+            let mut steps =
+                |src: &mut dyn BatchSource| self.run_steps(&mut ep, src, skip, min_steps);
+            let ran = if prefetch == 0 {
+                steps(&mut stream)
+            } else {
+                with_prefetch(&mut stream, prefetch, &mut slab_pool, |src| steps(src))
+            };
+            self.totals.absorb(&ep.phases);
+            ran?;
+
+            // Average the epoch loss over ranks for reporting.
+            let mut stat = vec![(ep.loss_sum / min_steps.max(1) as f64) as f32];
+            self.comm.allreduce_mean(&mut stat);
+            self.epochs.push(EpochStats {
+                epoch,
+                mean_loss: stat[0],
+                lr,
+            });
+            self.epoch_bds.push(EpochBreakdown {
+                epoch,
+                phases: ep.phases,
+            });
+        }
+
+        if let Some(r) = diverging_rank(self.comm, &self.model.values_vec()) {
+            panic!("rank {r} diverged: its parameter bits differ from rank 0's");
+        }
+        Ok(())
     }
 
-    // Epoch rollups come from rank 0 only — they are already averaged /
-    // global quantities, and one copy keeps the key space tidy.
-    if rank == 0 {
-        for eb in epoch_bds {
-            let epoch_s = eb.epoch.to_string();
-            let mut el = labels.clone();
-            el.push(("epoch", &epoch_s));
-            reg.time_ps(&key("trainer.epoch.time", &el), eb.phases.total_ps());
+    /// Steps `src` through the epoch. Resumed epochs re-enter mid-way:
+    /// the already-trained batches are pulled and recycled without
+    /// pricing anything (the retired eager path assembled them and priced
+    /// nothing).
+    fn run_steps(
+        &mut self,
+        ep: &mut EpochState,
+        src: &mut dyn BatchSource,
+        skip: usize,
+        min_steps: usize,
+    ) -> Result<(), RankKilled> {
+        for _ in 0..skip.min(min_steps) {
+            if let Some(b) = src.next_batch() {
+                src.recycle(b);
+            }
         }
-        for e in epochs {
-            let epoch_s = e.epoch.to_string();
-            let mut el = labels.clone();
-            el.push(("epoch", &epoch_s));
-            reg.gauge(&key("trainer.epoch.mean_loss", &el), f64::from(e.mean_loss));
+        for _ in skip..min_steps {
+            // A dead rank makes the next collective impossible for every
+            // rank; the armed fault therefore aborts all of them here, at
+            // the same lock-step boundary.
+            self.comm.poll_fault(self.steps_per_rank as u64)?;
+            let Some((bx, by)) = src.next_batch() else { break };
+            self.step(ep, &bx, &by);
+            self.checkpoint(ep);
+            // Hand the batch buffers back so the ring can reuse them (a
+            // no-op on the inline path).
+            src.recycle((bx, by));
         }
-        reg.add(&key("trainer.checkpoints", &labels), checkpoints.len() as u64);
-        let ckpt_bytes: u64 = checkpoints.iter().map(|c| c.bytes).sum();
-        reg.add(&key("trainer.checkpoint.bytes", &labels), ckpt_bytes);
+        Ok(())
+    }
+
+    /// One training step: stage the batch, forward, backward fused with
+    /// the gradient exchange, price the step, update.
+    fn step(&mut self, ep: &mut EpochState, bx: &Tensor, by: &Tensor) {
+        // Phase 1: stage the mini-batch host→device. The full cost lands
+        // in `stage_ps`; the consumer only stalls for the share the
+        // modeled producer had not already assembled, and the hidden
+        // remainder is accounted in `stage_overlap_saved_ps` — keeping
+        // the partition invariant exact.
+        let batch_bytes = ((bx.data().len() + by.data().len()) * size_of::<f32>()) as u64;
+        let s_ps = msa_obs::simtime_to_ps(self.trainer.cost.stage_time(batch_bytes));
+        let stall = ep.pipe.arrive(s_ps, self.clock.now_ps());
+        self.clock.advance_ps(stall);
+        ep.pipe.popped(self.clock.now_ps());
+        ep.phases.stage_ps += s_ps;
+        ep.phases.stage_overlap_saved_ps += s_ps - stall;
+
+        // Phases 2+3: forward, then backward with the Horovod moment —
+        // gradients averaged across ranks bucket by bucket.
+        self.model.zero_grad();
+        let pred = self.model.forward(bx, true);
+        let (l, grad) = self.loss.compute(&pred, by);
+        self.backward_exchange(&grad);
+        self.price_compute_and_exchange(&mut ep.phases, bx.shape()[0]);
+
+        self.opt.step(&mut self.model.params_mut());
+        ep.loss_sum += l as f64;
+        ep.step_in_epoch += 1;
+        self.steps_per_rank += 1;
+        self.steps_run += 1;
+    }
+
+    /// Backward pass fused with the gradient exchange — the one place
+    /// gradients cross ranks. The fusion buffer packs each layer into its
+    /// range of the flat gradient, and every completed bucket's range is
+    /// allreduce-meaned in place through the configured
+    /// [`ExchangeDispatch`] and codec. The overlap switch only chooses
+    /// *where* that reduce runs: inline on the caller, or on a
+    /// `rayon::join` comm lane while earlier layers are still in
+    /// backward. Buckets reduce in the same descending order either way,
+    /// so fused and serialized schedules of one partition agree
+    /// bit-for-bit, and the default pipeline dispatch is additionally
+    /// partition-invariant (bits never depend on `bucket_bytes`).
+    ///
+    /// Deadlock-freedom of the overlapped lane: `rayon::join` always
+    /// starts the first closure on the caller, so the backward producer
+    /// runs even when the pool is saturated — the comm lane then runs
+    /// afterwards on the caller and drains the unbounded channel
+    /// serialized. Cross-rank safety is the pipeline schedule's:
+    /// msa-verify model-checks the bucketed schedule under `Bounded(1)`
+    /// channels, and `ThreadComm`'s credit pools are `Bounded(2)`.
+    fn backward_exchange(&mut self, grad: &Tensor) {
+        let RankLoop {
+            trainer,
+            comm,
+            model,
+            fusion,
+            arena,
+            compressors,
+            ..
+        } = self;
+        let mut reduce = |bidx: usize, seg: &mut [f32]| {
+            let compressor = compressors.get_mut(bidx);
+            trainer
+                .dispatch
+                .reduce_bucket_codec(*comm, seg, arena, trainer.codec, compressor);
+        };
+        if trainer.fusion.overlap {
+            let (tx, rx) = crossbeam::channel::unbounded();
+            rayon::join(
+                || {
+                    // Unbounded channel: handing a bucket to the comm
+                    // lane never blocks backward. A send error is
+                    // impossible while `rx` lives.
+                    fusion.backward(model, grad, |bidx, seg| {
+                        let _ = tx.send((bidx, seg));
+                    });
+                    drop(tx);
+                },
+                || {
+                    while let Ok((bidx, seg)) = rx.recv() {
+                        reduce(bidx, seg);
+                    }
+                },
+            );
+        } else {
+            fusion.backward(model, grad, reduce);
+        }
+        model.set_grads(fusion.grad());
+    }
+
+    /// Prices phases 2 and 3 of a step on the virtual clock.
+    fn price_compute_and_exchange(&mut self, phases: &mut PhaseBreakdown, samples: usize) {
+        let cost = &self.trainer.cost;
+        let size = self.comm.size();
+        // Phase 2: forward + backward compute …
+        let c_ps = self.clock.advance(cost.compute_time(self.n_params, samples));
+        phases.compute_ps += c_ps;
+
+        // … and phase 3: per-bucket α–β allreduce cost, overlapped
+        // against the backward tail when the overlap lane is on.
+        // Backward is 4 of the 6 modeled FLOPs/param, and it sweeps the
+        // flat gradient top-down, so the bucket starting at flat offset
+        // `a` is ready once (total − a)/total of the backward time has
+        // elapsed. Buckets flush back-to-front and serialize on the comm
+        // lane: finish_k = max(finish_{k−1}, ready_k) + allreduce_k. The
+        // step's wall time advances by max(compute, finish_last) −
+        // compute; the hidden remainder is `overlap_saved_ps` (zero when
+        // serialized, where every ready_k = compute).
+        let t_bwd = c_ps * 2 / 3;
+        let total = self.n_params as u64;
+        let mut finish: u64 = 0;
+        let mut comm_ps: u64 = 0;
+        for b in self.fusion.buckets().iter().rev() {
+            // Price what actually crosses the wire: the codec's encoded
+            // byte count. For Dense32 this is exactly `len × 4` — the
+            // seed pricing, bit for bit.
+            let bytes = self.trainer.codec.wire_bytes(b.len()) as u64;
+            let a_ps = msa_obs::simtime_to_ps(cost.allreduce_time(size, bytes));
+            let ready = if self.trainer.fusion.overlap {
+                c_ps - t_bwd
+                    + ((t_bwd as u128 * (total - b.start as u64) as u128) / total as u128) as u64
+            } else {
+                c_ps
+            };
+            finish = finish.max(ready) + a_ps;
+            comm_ps += a_ps;
+            self.allreduce_bytes += bytes;
+        }
+        let extra = finish.saturating_sub(c_ps);
+        self.clock.advance_ps(extra);
+        phases.allreduce_ps += comm_ps;
+        phases.overlap_saved_ps += comm_ps - extra;
+    }
+
+    /// Snapshots the full training state when the checkpoint policy is
+    /// due. Every rank contributes its progress (RNG positions and
+    /// partial loss sum); rank 0 writes the snapshot and pays phase 4.
+    fn checkpoint(&mut self, ep: &mut EpochState) {
+        let trainer = self.trainer;
+        let Some(policy) = &trainer.cfg.checkpoint else {
+            return;
+        };
+        if !(self.steps_per_rank as u64).is_multiple_of(policy.every_steps) {
+            return;
+        }
+        let gathered = allgather_u64(
+            self.comm,
+            &[ep.rng_pos_start, ep.rng_pos_now, ep.loss_sum.to_bits()],
+        );
+        if self.comm.rank() != 0 {
+            return;
+        }
+        let progress = TrainerProgress {
+            workers: self.comm.size() as u32,
+            seed: trainer.cfg.seed,
+            epoch: ep.epoch as u64,
+            step_in_epoch: ep.step_in_epoch as u64,
+            steps_done: self.steps_per_rank as u64,
+            lr_bits: ep.lr.to_bits(),
+            history: self.epochs.iter().map(|e| (e.mean_loss, e.lr)).collect(),
+            rng_pos_start: gathered.iter().map(|g| g[0]).collect(),
+            rng_pos_now: gathered.iter().map(|g| g[1]).collect(),
+            loss_sum_bits: gathered.iter().map(|g| g[2]).collect(),
+        };
+        let snap = serialize::save_with(&self.model, &self.opt.state(), &progress.encode());
+        let record = CheckpointRecord {
+            global_step: self.steps_per_rank as u64,
+            epoch: ep.epoch,
+            bytes: snap.len() as u64,
+            write_cost: policy.target.checkpoint_cost_bytes(snap.len() as u64),
+        };
+        // Phase 4: the snapshot write (rank 0 pays it).
+        ep.phases.checkpoint_ps += self.clock.advance(record.write_cost);
+        self.checkpoints.push(record);
+        self.latest_snapshot = Some(snap);
+    }
+
+    /// The single exit, for completed and fault-interrupted runs alike:
+    /// records this rank's metrics, then hands back the report or the
+    /// interruption.
+    fn finish(self, ran: Result<(), RankKilled>) -> RankRun {
+        let metrics = self.metrics();
+        let outcome = match ran {
+            Ok(()) => Ok(TrainReport {
+                epochs: self.epochs,
+                wall_secs: 0.0, // stamped by the caller
+                final_params: self.model.values_vec(),
+                final_state: self.model.state(),
+                steps_per_rank: self.steps_per_rank,
+                checkpoints: self.checkpoints,
+                latest_snapshot: self.latest_snapshot,
+                sim_wall_ps: self.clock.now_ps(),
+                breakdown: self.totals,
+                epoch_breakdown: self.epoch_bds,
+            }),
+            Err(killed) => Err((killed, self.latest_snapshot)),
+        };
+        RankRun { outcome, metrics }
+    }
+
+    /// This rank's phase totals, step counters and collective traffic,
+    /// as a local registry.
+    fn metrics(&self) -> MetricsRegistry {
+        let reg = MetricsRegistry::new();
+        let rank = self.comm.rank();
+        let rank_s = rank.to_string();
+        let mut labels: Vec<(&str, &str)> = vec![("rank", &rank_s)];
+        if let Some(t) = &self.trainer.tag {
+            labels.push(("run", t));
+        }
+
+        let totals = &self.totals;
+        for (phase, ps) in [
+            ("stage", totals.stage_ps),
+            ("compute", totals.compute_ps),
+            ("allreduce", totals.allreduce_ps),
+            ("checkpoint", totals.checkpoint_ps),
+        ] {
+            reg.time_ps(&key(&format!("trainer.phase.{phase}.time"), &labels), ps);
+        }
+        reg.add(&key("trainer.steps", &labels), self.steps_run);
+        reg.add(&key("trainer.allreduce.bytes", &labels), self.allreduce_bytes);
+        reg.time_ps(&key("trainer.overlap.saved", &labels), totals.overlap_saved_ps);
+        reg.time_ps(
+            &key("trainer.stage_overlap.saved", &labels),
+            totals.stage_overlap_saved_ps,
+        );
+        reg.time_ps(&key("trainer.sim_wall", &labels), self.clock.now_ps());
+        if let Some(stats) = self.comm.stats() {
+            stats.export().record_into(&reg, &labels);
+        }
+
+        // Epoch rollups come from rank 0 only — they are already averaged /
+        // global quantities, and one copy keeps the key space tidy.
+        if rank == 0 {
+            for eb in &self.epoch_bds {
+                let epoch_s = eb.epoch.to_string();
+                let mut el = labels.clone();
+                el.push(("epoch", &epoch_s));
+                reg.time_ps(&key("trainer.epoch.time", &el), eb.phases.total_ps());
+            }
+            for e in &self.epochs {
+                let epoch_s = e.epoch.to_string();
+                let mut el = labels.clone();
+                el.push(("epoch", &epoch_s));
+                reg.gauge(&key("trainer.epoch.mean_loss", &el), f64::from(e.mean_loss));
+            }
+            reg.add(&key("trainer.checkpoints", &labels), self.checkpoints.len() as u64);
+            let ckpt_bytes: u64 = self.checkpoints.iter().map(|c| c.bytes).sum();
+            reg.add(&key("trainer.checkpoint.bytes", &labels), ckpt_bytes);
+        }
+        reg
     }
 }
 
@@ -1843,6 +1821,33 @@ mod tests {
             ),
             Err(CheckpointError::BadProgress(_))
         ));
+    }
+
+    #[test]
+    fn allgather_u64_is_exact_beyond_f32_integers() {
+        let sent = |r: u64| vec![(1 << 24) + 1 + r, u64::MAX - r, r << 40];
+        let got = ThreadComm::run(3, |comm| allgather_u64(comm, &sent(comm.rank() as u64)));
+        for per_rank in got {
+            let want: Vec<Vec<u64>> = (0..3).map(sent).collect();
+            assert_eq!(per_rank, want);
+        }
+        // A plain `n as f32` transport would round these.
+        assert_ne!(((1u64 << 24) + 1) as f32 as u64, (1 << 24) + 1);
+    }
+
+    #[test]
+    fn replica_check_catches_a_one_ulp_desync_the_tolerance_check_passed() {
+        let params: Vec<f32> = (0..64).map(|i| (i as f32 * 0.37).sin()).collect();
+        let mut bumped = params.clone();
+        bumped[17] = f32::from_bits(bumped[17].to_bits() + 1);
+        let got = ThreadComm::run(3, |comm| {
+            diverging_rank(comm, if comm.rank() == 2 { &bumped } else { &params })
+        });
+        assert_eq!(got, vec![Some(2); 3]);
+        assert_eq!(ThreadComm::run(3, |comm| diverging_rank(comm, &params)), vec![None; 3]);
+        // Comparing f32 parameter sums within 1e-3 relative passes it.
+        let (a, b) = (params.iter().sum::<f32>(), bumped.iter().sum::<f32>());
+        assert!((b - a).abs() <= 1e-3 * (1.0 + a.abs()));
     }
 
     #[test]
