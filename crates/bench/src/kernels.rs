@@ -3,8 +3,10 @@
 //!
 //! Measures the blocked/packed compute kernels against the seed
 //! baselines they replaced, on the shapes the training hot path actually
-//! runs: square matmul at 64/256/512 and a Conv2d forward+backward
-//! step. Four variants per matmul shape:
+//! runs: square matmul at 64/256/512, the A·Bᵀ products that dominate
+//! training backward (conv `dW` at stages 1 and 2, `Dense(4096→1024)`
+//! `dx`) and a Conv2d forward+backward step. Four variants per square
+//! matmul shape:
 //!
 //! * `new_pool_on` — blocked kernels over the persistent pool;
 //! * `new_pool_off` — same kernels inside `serial_scope` (pool bypassed);
@@ -183,6 +185,24 @@ struct MatmulRow {
     ns_seed_spawn: f64,
 }
 
+/// One A·Bᵀ hot shape: the packed nt kernel against the seed dot chain.
+struct NtHotRow {
+    m: usize,
+    k: usize,
+    n: usize,
+    hash_nt: u64,
+    bit_equal_ref: bool,
+    bit_equal_pool_off: bool,
+    ns_new_pool_on: f64,
+    ns_ref_serial: f64,
+}
+
+/// `(m, k, n)` of the training hot path's A·Bᵀ products: conv `dW` of
+/// `resnet_bigearth` stages 1 and 2, and the `Dense(4096→1024)` `dx` of
+/// `mlp_bigearth`, all at batch 32.
+const NT_HOT_SHAPES: [(usize, usize, usize); 3] =
+    [(16, 1024, 144), (32, 256, 288), (32, 1024, 4096)];
+
 struct ConvSection {
     hash_fwd: u64,
     hash_bwd: u64,
@@ -206,22 +226,12 @@ fn bench_matmul(n: usize, reps: usize) -> MatmulRow {
     let c_off = rayon::serial_scope(|| matmul(&a, &b));
     let c_tn = matmul_tn(&a, &b);
     let c_nt = matmul_nt(&a, &b);
-    let bit_equal_ref = c_new.data().iter().zip(c_ref.data()).all(|(x, y)| x.to_bits() == y.to_bits())
-        && c_tn
-            .data()
-            .iter()
-            .zip(reference::matmul_tn_ikj(&a, &b).data())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-        && c_nt
-            .data()
-            .iter()
-            .zip(reference::matmul_nt_dot(&a, &b).data())
-            .all(|(x, y)| x.to_bits() == y.to_bits());
-    let bit_equal_pool_off = c_new
-        .data()
-        .iter()
-        .zip(c_off.data())
-        .all(|(x, y)| x.to_bits() == y.to_bits());
+    let bit_equal_ref = bits_equal(&c_new, &c_ref)
+        && bits_equal(&c_tn, &reference::matmul_tn_ikj(&a, &b))
+        && bits_equal(&c_nt, &reference::matmul_nt_dot(&a, &b));
+    let bit_equal_pool_off = bits_equal(&c_new, &c_off)
+        && bits_equal(&c_tn, &rayon::serial_scope(|| matmul_tn(&a, &b)))
+        && bits_equal(&c_nt, &rayon::serial_scope(|| matmul_nt(&a, &b)));
 
     MatmulRow {
         n,
@@ -236,6 +246,30 @@ fn bench_matmul(n: usize, reps: usize) -> MatmulRow {
         ns_seed_spawn: min_ns(reps, || {
             reference::matmul_ikj_spawn_per_call(&a, &b, POOL_THREADS)
         }),
+    }
+}
+
+fn bits_equal(x: &Tensor, y: &Tensor) -> bool {
+    x.data()
+        .iter()
+        .zip(y.data())
+        .all(|(u, v)| u.to_bits() == v.to_bits())
+}
+
+fn bench_nt_hot((m, k, n): (usize, usize, usize), reps: usize) -> NtHotRow {
+    let mut rng = Rng::seed((m * k + n) as u64);
+    let a = rng.normal_tensor(&[m, k], 1.0);
+    let b = rng.normal_tensor(&[n, k], 1.0);
+    let c_new = matmul_nt(&a, &b);
+    NtHotRow {
+        m,
+        k,
+        n,
+        hash_nt: bits_hash(c_new.data()),
+        bit_equal_ref: bits_equal(&c_new, &reference::matmul_nt_dot(&a, &b)),
+        bit_equal_pool_off: bits_equal(&c_new, &rayon::serial_scope(|| matmul_nt(&a, &b))),
+        ns_new_pool_on: min_ns(reps, || matmul_nt(&a, &b)),
+        ns_ref_serial: min_ns(reps, || reference::matmul_nt_dot(&a, &b)),
     }
 }
 
@@ -300,7 +334,7 @@ fn bench_conv(reps: usize) -> ConvSection {
     }
 }
 
-fn counters_json(rows: &[MatmulRow], conv: &ConvSection) -> String {
+fn counters_json(rows: &[MatmulRow], nt_hot: &[NtHotRow], conv: &ConvSection) -> String {
     let mut s = String::from("{\n  \"pool_threads\": ");
     let _ = write!(s, "{}", rayon::current_num_threads());
     s.push_str(",\n  \"matmul\": [\n");
@@ -315,6 +349,20 @@ fn counters_json(rows: &[MatmulRow], conv: &ConvSection) -> String {
             r.bit_equal_ref,
             r.bit_equal_pool_off,
             if i + 1 < rows.len() { "," } else { "" }
+        );
+    }
+    s.push_str("  ],\n  \"matmul_nt_hot\": [\n");
+    for (i, r) in nt_hot.iter().enumerate() {
+        let _ = writeln!(
+            s,
+            "    {{\"m\": {}, \"k\": {}, \"n\": {}, \"hash_nt\": \"{:016x}\", \"bit_equal_ref\": {}, \"bit_equal_pool_off\": {}}}{}",
+            r.m,
+            r.k,
+            r.n,
+            r.hash_nt,
+            r.bit_equal_ref,
+            r.bit_equal_pool_off,
+            if i + 1 < nt_hot.len() { "," } else { "" }
         );
     }
     s.push_str("  ],\n  \"conv2d\": ");
@@ -333,7 +381,7 @@ fn counters_json(rows: &[MatmulRow], conv: &ConvSection) -> String {
     s
 }
 
-fn timings_json(rows: &[MatmulRow], conv: &ConvSection) -> String {
+fn timings_json(rows: &[MatmulRow], nt_hot: &[NtHotRow], conv: &ConvSection) -> String {
     let mut s = String::from("{\n  \"matmul\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
@@ -347,6 +395,22 @@ fn timings_json(rows: &[MatmulRow], conv: &ConvSection) -> String {
             r.ns_seed_spawn / r.ns_new_pool_on,
             r.ns_ref_serial / r.ns_new_pool_off,
             if i + 1 < rows.len() { "," } else { "" }
+        );
+    }
+    s.push_str("  ],\n  \"matmul_nt_hot\": [\n");
+    for (i, r) in nt_hot.iter().enumerate() {
+        let flops = 2.0 * (r.m * r.k * r.n) as f64;
+        let _ = writeln!(
+            s,
+            "    {{\"m\": {}, \"k\": {}, \"n\": {}, \"ns_new_pool_on\": {:.0}, \"ns_ref_serial\": {:.0}, \"gflops_new_pool_on\": {:.1}, \"gflops_ref_serial\": {:.1}}}{}",
+            r.m,
+            r.k,
+            r.n,
+            r.ns_new_pool_on,
+            r.ns_ref_serial,
+            flops / r.ns_new_pool_on,
+            flops / r.ns_ref_serial,
+            if i + 1 < nt_hot.len() { "," } else { "" }
         );
     }
     s.push_str("  ],\n  \"conv2d\": ");
@@ -377,13 +441,17 @@ pub fn kernel_report(fast: bool) -> (String, String) {
     // and trims repetitions; the committed artifact uses the full sweep.
     let (sizes, reps): (&[usize], usize) = if fast { (&[64, 256], 2) } else { (&[64, 256, 512], 9) };
     let rows: Vec<MatmulRow> = sizes.iter().map(|&n| bench_matmul(n, reps)).collect();
+    let nt_hot: Vec<NtHotRow> = NT_HOT_SHAPES
+        .iter()
+        .map(|&s| bench_nt_hot(s, reps))
+        .collect();
     let conv = bench_conv(reps);
 
-    let counters = counters_json(&rows, &conv);
+    let counters = counters_json(&rows, &nt_hot, &conv);
     let mut full = String::from("{\n\"counters\": ");
     full.push_str(&counters);
     full.push_str(",\n\"timings\": ");
-    full.push_str(&timings_json(&rows, &conv));
+    full.push_str(&timings_json(&rows, &nt_hot, &conv));
     full.push_str("\n}");
     (counters, full)
 }
@@ -401,5 +469,7 @@ mod tests {
         assert!(!c1.contains("\"bit_equal_ref\": false"));
         assert!(c1.contains("\"bit_equal_seed\": true"));
         assert!(c1.contains("\"grows_stable\": true"));
+        assert!(c1.contains("\"matmul_nt_hot\""));
+        assert!(!c1.contains("false"), "a counter flag is false:\n{c1}");
     }
 }

@@ -5,7 +5,8 @@
 //! `Tensor` per sample per step (plus a cloned weight matrix and
 //! per-sample gradient tensors). This version routes every workspace
 //! through layer-owned [`Arena`] scratch buffers — the im2col column
-//! cache, the per-sample `dW`/`db`/`dcols` staging — and reads weights
+//! cache, the per-sample `dW`/`db`/`dcols` staging and the packed panel
+//! of each sample's `dW` product — and reads weights
 //! in place (a `(F, C, KH, KW)` tensor is already the `(F, C·KH·KW)`
 //! GEMM operand, row-major). After the first step a forward performs
 //! zero heap allocation for column data, which tests assert through
@@ -20,7 +21,7 @@ use crate::layer::Layer;
 use crate::param::Param;
 use rayon::prelude::*;
 use tensor::conv::{col2im_into, im2col_into, out_dim};
-use tensor::matmul::{gemm_nn_into, gemm_nt_into, Blocking, PackedT};
+use tensor::matmul::{gemm_nn_into, gemm_nt_with_scratch, nt_scratch_len, Blocking, PackedT};
 use tensor::scratch::Arena;
 use tensor::{Rng, Tensor};
 
@@ -38,7 +39,8 @@ pub struct Conv2d {
     /// Column cache: `n · (C·KH·KW) · (OH·OW)` floats written by forward,
     /// read back by backward. Reused across steps.
     cols_arena: Arena,
-    /// Backward staging: per-sample `dW`, `db` and `dcols` slabs.
+    /// Backward staging: per-sample `dW`, `db`, `dcols` and `dW`-panel
+    /// slabs.
     bwd_arena: Arena,
     /// `Wᵀ` panel packed once per backward, shared by every sample.
     packed_w: PackedT,
@@ -143,7 +145,8 @@ struct ForwardDims {
 }
 
 /// Shared backward: per-sample `dW = g·colsᵀ`, `db`, `dcols = Wᵀ·g` and
-/// `dx = col2im(dcols)` staged into disjoint scratch chunks in parallel,
+/// `dx = col2im(dcols)` staged into disjoint scratch chunks (the `dW`
+/// product's packed panel included) in parallel,
 /// then folded into the parameter gradients sequentially in sample order
 /// (bit-stable under any pool size).
 #[allow(clippy::too_many_arguments)]
@@ -173,23 +176,26 @@ fn conv_backward(
     let per_img = c * h * w;
     let per_g = f * ohow;
 
+    let nt_len = nt_scratch_len(f, ohow, ckk);
     let mut dx_all = vec![0.0f32; n * per_img];
-    let mut frame = bwd.frame(n * (f * ckk + f + ckk * ohow));
+    let mut frame = bwd.frame(n * (f * ckk + f + ckk * ohow + nt_len));
     let dw_all = frame.take(n * f * ckk);
     let db_all = frame.take(n * f);
     let dcols_all = frame.take(n * ckk * ohow);
+    let nt_all = frame.take(n * nt_len);
 
     dx_all
         .par_chunks_mut(per_img)
         .zip(dw_all.par_chunks_mut(f * ckk))
         .zip(db_all.par_chunks_mut(f))
         .zip(dcols_all.par_chunks_mut(ckk * ohow))
+        .zip(nt_all.par_chunks_mut(nt_len))
         .enumerate()
-        .for_each(|(i, (((dx, dw), db), dcols))| {
+        .for_each(|(i, ((((dx, dw), db), dcols), nt))| {
             let g = &grad_out[i * per_g..(i + 1) * per_g];
             let cols = &cols_all[i * ckk * ohow..(i + 1) * ckk * ohow];
-            // dW = g (F×OHOW) · colsᵀ (CKK×OHOW)ᵀ
-            gemm_nt_into(f, ohow, ckk, g, cols, dw);
+            // dW = g (F×OHOW) · colsᵀ (CKK×OHOW)ᵀ, packed panel in `nt`.
+            gemm_nt_with_scratch(f, ohow, ckk, g, cols, dw, nt);
             for (ff, d) in db.iter_mut().enumerate() {
                 *d = g[ff * ohow..(ff + 1) * ohow].iter().sum();
             }

@@ -30,6 +30,33 @@
 //! * the `m == 1` row-vector case — every batch-1 Dense — parallelises
 //!   over column blocks instead of staying serial.
 //!
+//! `A·Bᵀ` ([`gemm_nt_into`]: conv `dW`, Dense `dx`, the GRU/LSTM `dx`
+//! and `dh` products) keeps a different seed chain: one dot product per
+//! element, `s = -0.0; for kk ascending { s += a[i,kk]·b[j,kk] }`, with
+//! no zero-skip. The kernel computes exactly that chain, many elements
+//! at a time:
+//!
+//! * **pack the smaller operand** k-major into `NT_W`-lane tiles of a
+//!   reused panel, and run each `NT_R × NT_W` register tile over the
+//!   whole `k` range as rank-1 updates — one broadcast tap of the other
+//!   operand times `NT_W` contiguous lanes per `kk`, in ascending `kk`.
+//!   Each lane is one element's chain, so SIMD width buys throughput
+//!   without reassociating anything.
+//! * **orientation**: when `A` is the smaller operand (`m < n`, e.g. conv
+//!   `dW` with few filters, Dense `dx` at small batch) it is the one
+//!   packed, the kernel computes `outᵀ = B·Aᵀ` and transposes it back.
+//!   IEEE multiplication is commutative, so `b·a` is the same bits as
+//!   `a·b` and every element keeps its chain. Packing `B` instead would
+//!   transpose the whole weight matrix of a Dense layer on every step.
+//! * **seed `-0.0`**: `-0.0` is the additive identity (`x + -0.0 == x`
+//!   for every `x`), which is what `f32::sum` folds from; a `+0.0` seed
+//!   would turn an all-`-0.0` chain into `+0.0`, and `k == 0` must yield
+//!   `-0.0`.
+//! * **no zero-skip**: unlike the nn chain, this one adds every tap.
+//!   Skipping a zero tap is not the same as adding it: `-0.0 + 0.0` is
+//!   `+0.0` and `0·∞` is NaN. ReLU backward fills gradients with exact
+//!   zeros, so a skip would change bits in training.
+//!
 //! [`reference`] keeps the seed kernels verbatim as the bit-exactness
 //! oracle for tests and the baseline for `BENCH_pr4.json`.
 
@@ -343,44 +370,79 @@ fn block_nn(a_blk: &[f32], b: &[f32], out_blk: &mut [f32], k: usize, n: usize, b
     }
 }
 
-/// Row-dot block for A·Bᵀ: `out_blk[r, j] = ⟨a_row, b_row_j⟩` with a
-/// single sequential accumulator per element — the seed's exact chain.
-/// Four columns are computed per pass with four *independent*
-/// accumulators (one per output element, exactly as the seed — only the
-/// instruction-level interleaving changes, never any chain), which hides
-/// the add-latency that serialises a lone running sum.
-fn block_nt(a_blk: &[f32], b: &[f32], out_blk: &mut [f32], k: usize, n: usize) {
-    let rows = out_blk.len() / n;
-    for r in 0..rows {
-        let a_row = &a_blk[r * k..(r + 1) * k];
-        let o_row = &mut out_blk[r * n..(r + 1) * n];
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = &b[j * k..j * k + k];
-            let b1 = &b[(j + 1) * k..(j + 1) * k + k];
-            let b2 = &b[(j + 2) * k..(j + 2) * k + k];
-            let b3 = &b[(j + 3) * k..(j + 3) * k + k];
-            // `f32::sum()` folds from -0.0 (the IEEE additive identity:
-            // x + -0.0 == x for every x, signed zeros included); the
-            // explicit accumulators must start there too to stay
-            // bit-identical to the seed chain.
-            let (mut s0, mut s1, mut s2, mut s3) = (-0.0f32, -0.0f32, -0.0f32, -0.0f32);
-            for (kk, &av) in a_row.iter().enumerate() {
-                s0 += av * b0[kk];
-                s1 += av * b1[kk];
-                s2 += av * b2[kk];
-                s3 += av * b3[kk];
+/// Register-tile height of the nt kernel: rows of the unpacked operand
+/// whose chains advance together, so each packed tap is loaded once per
+/// `NT_R` rows.
+const NT_R: usize = 4;
+/// Register-tile width of the nt kernel: lanes of the packed operand,
+/// one SIMD-contiguous run of independent chains per row.
+const NT_W: usize = 16;
+
+/// Floats of packed panel for `lanes` rows of width `k`: whole
+/// `NT_W`-lane tiles.
+fn nt_panel_len(lanes: usize, k: usize) -> usize {
+    lanes.div_ceil(NT_W) * NT_W * k
+}
+
+/// Packs `y` (`lanes×k`, row-major) k-major in `NT_W`-lane tiles:
+/// `panel[t·k·W + kk·W + w] = y[(t·W + w)·k + kk]`. Lanes past the last
+/// row of `y` are zeroed; their results are computed and discarded.
+fn pack_nt_panel(k: usize, y: &[f32], panel: &mut [f32]) {
+    for (t, tile) in panel.chunks_exact_mut(NT_W * k).enumerate() {
+        for w in 0..NT_W {
+            let l = t * NT_W + w;
+            let src = y.get(l * k..(l + 1) * k);
+            for kk in 0..k {
+                tile[kk * NT_W + w] = src.map_or(0.0, |row| row[kk]);
             }
-            o_row[j] = s0;
-            o_row[j + 1] = s1;
-            o_row[j + 2] = s2;
-            o_row[j + 3] = s3;
-            j += 4;
         }
-        for (jj, o) in o_row.iter_mut().enumerate().skip(j) {
-            let b_row = &b[jj * k..(jj + 1) * k];
-            *o = a_row.iter().zip(b_row).map(|(x, y)| x * y).sum();
+    }
+}
+
+/// `R` unpacked rows against one packed `NT_W`-lane tile:
+/// `acc[r][w] = Σ_kk x[r, kk] · y[w, kk]` as rank-1 updates in ascending
+/// `kk`. Every chain is seeded with `-0.0` and takes every tap, zeros
+/// included — per element the exact chain of `reference::matmul_nt_dot`.
+#[inline(always)]
+fn nt_tile<const R: usize>(x: &[f32], k: usize, tile: &[f32]) -> [[f32; NT_W]; R] {
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &x[r * k..][..k]);
+    let mut acc = [[-0.0f32; NT_W]; R];
+    for (kk, taps) in tile[..k * NT_W].chunks_exact(NT_W).enumerate() {
+        for (acc_r, row) in acc.iter_mut().zip(&rows) {
+            let xv = row[kk];
+            for (s, &yv) in acc_r.iter_mut().zip(taps) {
+                *s += xv * yv;
+            }
         }
+    }
+    acc
+}
+
+/// `c[r, l]` for `R` unpacked rows against every lane tile of the panel;
+/// the row tile stays cache-resident while the lane tiles stream past.
+fn nt_rows<const R: usize>(x: &[f32], panel: &[f32], k: usize, lanes: usize, c: &mut [f32]) {
+    for (t, tile) in panel.chunks_exact(NT_W * k).enumerate() {
+        let acc = nt_tile::<R>(x, k, tile);
+        let l0 = t * NT_W;
+        let w = NT_W.min(lanes - l0);
+        for (r, sums) in acc.iter().enumerate() {
+            c[r * lanes + l0..][..w].copy_from_slice(&sums[..w]);
+        }
+    }
+}
+
+/// `c_blk = x_blk · Yᵀ` for a contiguous block of unpacked rows, walked
+/// in `NT_R`-row register tiles, then singly.
+fn nt_block(x_blk: &[f32], panel: &[f32], k: usize, lanes: usize, c_blk: &mut [f32]) {
+    let rows = c_blk.len() / lanes;
+    let mut r = 0;
+    while r + NT_R <= rows {
+        nt_rows::<NT_R>(&x_blk[r * k..], panel, k, lanes, &mut c_blk[r * lanes..]);
+        r += NT_R;
+    }
+    while r < rows {
+        nt_rows::<1>(&x_blk[r * k..], panel, k, lanes, &mut c_blk[r * lanes..]);
+        r += 1;
     }
 }
 
@@ -448,36 +510,87 @@ pub fn gemm_nn_into(
 }
 
 /// `out = A · Bᵀ` for row-major slices: `(m×k) · (n×k)ᵀ`, overwriting
-/// `out`. Single-accumulator row dots — the seed's exact chain.
+/// `out`. The packed panel lives in a thread-local buffer reused across
+/// calls; see [`gemm_nt_with_scratch`] for the kernel.
 pub fn gemm_nt_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    let len = nt_scratch_len(m, k, n);
+    NT_PACK.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        gemm_nt_with_scratch(m, k, n, a, b, out, &mut buf[..len]);
+    });
+}
+
+/// Scratch floats [`gemm_nt_with_scratch`] needs for an `(m, k, n)`
+/// product: the packed panel of the smaller operand, plus `outᵀ` when
+/// `A` is the one packed.
+pub fn nt_scratch_len(m: usize, k: usize, n: usize) -> usize {
+    if m < n {
+        nt_panel_len(m, k) + m * n
+    } else {
+        nt_panel_len(n, k)
+    }
+}
+
+/// [`gemm_nt_into`] with caller-owned scratch of at least
+/// [`nt_scratch_len`] floats (contents ignored).
+///
+/// The smaller operand is packed k-major into `NT_W`-lane tiles, and
+/// each `NT_R × NT_W` register tile runs the whole `k` range as rank-1
+/// updates. When `A` is the smaller one the kernel computes
+/// `outᵀ = B · Aᵀ` and transposes it back: IEEE `a·b == b·a`, so every
+/// element keeps the seed's chain either way. Packing `B` only when it
+/// is the smaller operand keeps a large weight matrix (Dense `dx`) from
+/// being transposed on every step.
+pub fn gemm_nt_with_scratch(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    scratch: &mut [f32],
+) {
     assert_eq!(a.len(), m * k, "lhs length mismatch");
     assert_eq!(b.len(), n * k, "rhs length mismatch");
     assert_eq!(out.len(), m * n, "out length mismatch");
+    assert!(
+        scratch.len() >= nt_scratch_len(m, k, n),
+        "nt scratch too small"
+    );
     if m == 0 || n == 0 {
         return;
     }
-    if m == 1 {
-        if n * k >= PAR_THRESHOLD && n > 1 {
-            let cb = cols_per_block(n);
-            out.par_chunks_mut(cb).enumerate().for_each(|(ci, oc)| {
-                let j0 = ci * cb;
-                for (jo, o) in oc.iter_mut().enumerate() {
-                    let j = j0 + jo;
-                    *o = a.iter().zip(&b[j * k..(j + 1) * k]).map(|(x, y)| x * y).sum();
-                }
-            });
-        } else {
-            block_nt(a, b, out, k, n);
-        }
+    if k == 0 {
+        // Every chain is empty: the seed value.
+        out.fill(-0.0);
         return;
     }
-    if m * n >= PAR_THRESHOLD {
-        let rb = rows_per_block(m);
-        out.par_chunks_mut(rb * n)
-            .zip(a.par_chunks(rb * k))
-            .for_each(|(oc, ac)| block_nt(ac, b, oc, k, n));
+    if m < n {
+        let (panel, out_t) = scratch.split_at_mut(nt_panel_len(m, k));
+        let out_t = &mut out_t[..m * n];
+        pack_nt_panel(k, a, panel);
+        nt_par(b, panel, n, k, m, out_t);
+        pack_transpose(n, m, out_t, out);
     } else {
-        block_nt(a, b, out, k, n);
+        let panel = &mut scratch[..nt_panel_len(n, k)];
+        pack_nt_panel(k, b, panel);
+        nt_par(a, panel, m, k, n, out);
+    }
+}
+
+/// `c = X · Yᵀ` (`rows×lanes`) from the unpacked `x` (`rows×k`) and the
+/// packed panel of `Y`, split over the pool in row blocks of whole tiles.
+fn nt_par(x: &[f32], panel: &[f32], rows: usize, k: usize, lanes: usize, c: &mut [f32]) {
+    if rows * lanes >= PAR_THRESHOLD {
+        let rb = rows_per_block(rows).next_multiple_of(NT_R);
+        c.par_chunks_mut(rb * lanes)
+            .zip(x.par_chunks(rb * k))
+            .for_each(|(cb, xb)| nt_block(xb, panel, k, lanes, cb));
+    } else {
+        nt_block(x, panel, k, lanes, c);
     }
 }
 
@@ -487,6 +600,9 @@ thread_local! {
     /// traffic is bounded by the pool width, not the step count);
     /// batch-reusable packing goes through [`PackedT`] instead.
     static TN_PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Packed-panel (and `outᵀ`) scratch of [`gemm_nt_into`], reused the
+    /// same way.
+    static NT_PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Transposes `a` (`k×m`, row-major) into `at` (`m×k`).
@@ -954,6 +1070,78 @@ mod tests {
             p.gemm_into(b.data(), n, &mut out, Blocking::default());
             let packed = Tensor::from_vec(out, &[m, n]);
             assert_bits_equal(&packed, &matmul_tn(&a, &b), &format!("packed {k}x{m}x{n}"));
+        }
+    }
+
+    /// Random operand exercising every case the seed's scalar chain
+    /// handled implicitly: exact ±0.0 taps everywhere, one all-`-0.0`
+    /// row (`neg_zero_row`, so a chain of `-0.0` products must stay
+    /// `-0.0` — a `+0.0` seed or a zero-skip would flip it), and ±∞ / NaN
+    /// in every fifth row only, so most outputs stay finite.
+    fn special_tensor(r: &mut Rng, shape: &[usize], neg_zero_row: bool) -> Tensor {
+        let mut t = sparse_tensor(r, shape);
+        let k = shape[1];
+        for (row, vals) in t.data_mut().chunks_mut(k.max(1)).enumerate() {
+            if row % 6 == 3 {
+                for v in vals.iter_mut() {
+                    *v = if neg_zero_row { -0.0 } else { v.abs() + 0.5 };
+                }
+            } else if row % 5 == 2 && k > 0 {
+                vals[row % k] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][row % 3];
+                vals[k - 1] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][row % 3];
+            }
+        }
+        t
+    }
+
+    /// Bit equality, except that any NaN matches any NaN: IEEE 754 does
+    /// not fix which NaN payload an operation propagates, and LLVM treats
+    /// `fadd`/`fmul` as commutative, so payloads are no kernel's
+    /// contract. Signed zeros and infinities are compared bit for bit.
+    fn assert_bits_equal_nan_class(a: &[f32], b: &[f32], ctx: &str) {
+        assert_eq!(a.len(), b.len(), "{ctx}: length");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            let same = x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+            assert!(same, "{ctx}: element {i}: {x:?} vs {y:?}");
+        }
+    }
+
+    /// The packed nt kernel against the seed's scalar dot chain, in both
+    /// orientations (A packed when m < n, B packed otherwise), at m = 1,
+    /// n = 1, k = 0, k = 1, tile-ragged shapes, the three training hot
+    /// shapes (conv `dW` at stages 1 and 2, `Dense(4096→1024)` `dx`),
+    /// pool on and inside `serial_scope`, and with dirty caller scratch.
+    #[test]
+    fn packed_nt_matches_seed_chain_with_signed_zeros_and_non_finites() {
+        let mut r = Rng::seed(81);
+        for (m, k, n) in [
+            (1, 1, 1),
+            (1, 9, 40),
+            (40, 9, 1),
+            (3, 0, 5),
+            (5, 0, 3),
+            (7, 1, 19),
+            (19, 1, 7),
+            (5, 23, 37),
+            (37, 23, 5),
+            (17, 31, 17),
+            (70, 33, 90),
+            (90, 33, 70),
+            (16, 1024, 144),
+            (32, 256, 288),
+            (32, 1024, 4096),
+        ] {
+            let a = special_tensor(&mut r, &[m, k], true);
+            let b = special_tensor(&mut r, &[n, k], false);
+            let seed = reference::matmul_nt_dot(&a, &b);
+            let ctx = format!("nt {m}x{k}x{n}");
+            assert_bits_equal_nan_class(matmul_nt(&a, &b).data(), seed.data(), &ctx);
+            let off = rayon::serial_scope(|| matmul_nt(&a, &b));
+            assert_bits_equal_nan_class(off.data(), seed.data(), &format!("{ctx} pool off"));
+            let mut scratch = vec![f32::NAN; nt_scratch_len(m, k, n)];
+            let mut out = vec![f32::NAN; m * n];
+            gemm_nt_with_scratch(m, k, n, a.data(), b.data(), &mut out, &mut scratch);
+            assert_bits_equal_nan_class(&out, seed.data(), &format!("{ctx} dirty scratch"));
         }
     }
 
