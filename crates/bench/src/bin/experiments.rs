@@ -11,8 +11,18 @@
 //! cargo run --release -p bench --bin experiments -- codec TUNE_pr9.table BENCH_pr9.json
 //! cargo run --release -p bench --bin experiments -- pipeline BENCH_pr10.json
 //! ```
+//!
+//! Every artifact report goes through one writer: it builds the
+//! [`bench::report::Report`], writes the table (if any) and the JSON, and
+//! exits non-zero when a contract flag is false. `MSA_BENCH_FAST=1`
+//! shrinks `kernels` and `comm` to smoke size; the other reports have
+//! one size. `crates/bench/tests/artifacts.rs` checks every report
+//! against its committed artifact.
 
-const USAGE: &str = "usage: experiments <e1..e14|all|obs|kernels|comm|tune|serve|codec|pipeline> [more ids… | output path]
+use bench::report::REPORTS;
+
+const USAGE: &str = "usage: experiments <e1..e14|all> [more ids…]
+       experiments <report> [--counters] [table path] [json path]
   e1  Table I + system inventories
   e2  workload/module affinity (Fig. 2)
   e3  distributed DL scaling + accuracy (Fig. 3)
@@ -27,211 +37,81 @@ const USAGE: &str = "usage: experiments <e1..e14|all|obs|kernels|comm|tune|serve
   e12 modular workflow: train here, infer there
   e13 checkpoint/restart: NAM vs parallel FS
   e14 interactive sessions: reserved DAM vs shared queue
-  obs deterministic observability report -> BENCH_pr3.json (or given path)
-  kernels [--counters] kernel throughput + bit-exactness report
-      -> BENCH_pr4.json (or given path); --counters emits only the
-      deterministic section (CI byte-compares two runs)
-  comm [--counters] collective wire counters, fused-vs-serialized
-      bit-equality, overlap speedup + allreduce timing sweep
-      -> BENCH_pr5.json (or given path); --counters emits only the
-      deterministic section (CI byte-compares two runs)
-  tune measured collective autotuner grid (real executions up to 128
-      ranks, priced virtual clocks) -> TUNE_pr7.table + BENCH_pr7.json
-      (or the two given paths); fully deterministic, CI byte-compares
-      two runs of both files
-  serve dynamic-batching inference grid (3 policies x 4 offered loads,
-      CNN on ESB + GRU on DAM, SLO admission) -> BENCH_pr8.json (or
-      given path); fully deterministic, CI byte-compares two runs and
-      the committed artifact; exits non-zero if any latency histogram
-      is empty or a tradeoff contract flag is false
-  codec gradient wire codecs (dense f32 vs bf16 vs 1%-top-k): measured
-      allreduce grid up to 128 ranks on the priced clock, fused trainer
-      step times, recalibrated 96/128-GPU scaling and convergence
-      parity -> TUNE_pr9.table + BENCH_pr9.json (or the two given
-      paths); fully deterministic, CI byte-compares two runs of both
-      files and greps the contract flags
-  pipeline [--counters] overlapped input pipeline: prefetch-vs-eager
-      bit-identity grid under all three codecs, modeled stage-overlap
-      depth sweep, slab-pool zero-alloc proof, 96/128-GPU input-bound
-      projection and the measured stage-bound epoch speedup
-      -> BENCH_pr10.json (or given path); --counters emits only the
-      deterministic sections (CI byte-compares two runs); exits
-      non-zero if any contract flag is false";
+reports (default paths shown; each exits non-zero if a contract flag is
+false; --counters writes only the deterministic sections, by default to
+<json stem>_counters.json):
+  obs      deterministic observability snapshot -> BENCH_pr3.json
+  kernels  kernel throughput + bit-exactness -> BENCH_pr4.json
+           (MSA_BENCH_FAST=1: smoke size)
+  comm     collective wire counters, fused-vs-serialized bit-equality,
+           overlap speedup + allreduce timing sweep -> BENCH_pr5.json
+           (MSA_BENCH_FAST=1: smoke size)
+  tune     measured collective autotuner grid (real executions up to 128
+           ranks, priced virtual clocks) -> TUNE_pr7.table + BENCH_pr7.json
+  serve    dynamic-batching inference grid (3 policies x 4 offered loads,
+           CNN on ESB + GRU on DAM, SLO admission) -> BENCH_pr8.json
+  codec    gradient wire codecs (dense f32 vs bf16 vs 1%-top-k): allreduce
+           grid up to 128 ranks on the priced clock, fused trainer step
+           times, 96/128-GPU scaling, convergence parity
+           -> TUNE_pr9.table + BENCH_pr9.json
+  pipeline overlapped input pipeline: prefetch-vs-eager bit-identity under
+           all three codecs, modeled depth sweep, slab-pool zero-alloc
+           proof, 96/128-GPU projection, measured stage-bound epoch
+           speedup (full report only) -> BENCH_pr10.json";
 
-/// Runs the `obs` subcommand: dumps the deterministic metrics snapshot
-/// to `path` and fails loudly if the registry came back empty.
-fn run_obs(path: &str) -> i32 {
-    let snap = bench::obs_report();
-    if snap.is_empty() {
+/// Writes report `name`: `args` is `[--counters] [table path] [json
+/// path]`, the table path only for reports that emit a table. Returns
+/// the exit code.
+fn write_report(
+    name: &str,
+    json_default: &str,
+    table_default: Option<&str>,
+    args: &[String],
+) -> i32 {
+    let counters_only = args.first().is_some_and(|a| a == "--counters");
+    let mut paths = args[usize::from(counters_only)..]
+        .iter()
+        .map(String::as_str);
+    let fast = std::env::var("MSA_BENCH_FAST").is_ok_and(|v| v == "1");
+    let Some(report) = bench::report::report(name, fast, counters_only) else {
         // lint: allow(print) -- CLI diagnostic on stderr
-        eprintln!("obs report is empty: no metrics were recorded");
-        return 1;
-    }
-    let json = snap.to_json();
-    if let Err(e) = std::fs::write(path, &json) {
-        // lint: allow(print) -- CLI diagnostic on stderr
-        eprintln!("cannot write {path}: {e}");
-        return 1;
-    }
-    // lint: allow(print) -- CLI status output
-    println!("wrote {} metrics to {path}", snap.len());
-    0
-}
-
-/// Runs the `kernels` subcommand. `--counters` selects the
-/// deterministic section only (for CI byte-comparison); otherwise the
-/// full report with timings goes to the given path (default
-/// `BENCH_pr4.json`). `MSA_BENCH_FAST=1` cuts timing repetitions.
-fn run_kernels(rest: &[String]) -> i32 {
-    let counters_only = rest.first().is_some_and(|a| a == "--counters");
-    let path_arg = if counters_only { rest.get(1) } else { rest.first() };
-    let default = if counters_only {
-        "BENCH_pr4_counters.json"
-    } else {
-        "BENCH_pr4.json"
+        eprintln!("no report named {name}");
+        return 2;
     };
-    let path = path_arg.map_or(default, String::as_str);
-    let fast = std::env::var("MSA_BENCH_FAST").is_ok_and(|v| v == "1");
-    let (counters, full) = bench::kernels::kernel_report(fast);
-    let body = if counters_only { counters } else { full };
-    if let Err(e) = std::fs::write(path, &body) {
-        // lint: allow(print) -- CLI diagnostic on stderr
-        eprintln!("cannot write {path}: {e}");
-        return 1;
-    }
-    // lint: allow(print) -- CLI status output
-    println!("wrote kernel report to {path}");
-    0
-}
-
-/// Runs the `comm` subcommand (PR 5): deterministic collective wire
-/// counters + fused-vs-serialized bit-equality with `--counters`,
-/// otherwise the full report with the allreduce timing sweep (default
-/// `BENCH_pr5.json`). `MSA_BENCH_FAST=1` shrinks models and repetitions.
-fn run_comm(rest: &[String]) -> i32 {
-    let counters_only = rest.first().is_some_and(|a| a == "--counters");
-    let path_arg = if counters_only { rest.get(1) } else { rest.first() };
-    let default = if counters_only {
-        "BENCH_pr5_counters.json"
+    let table_path = table_default.map(|d| paths.next().unwrap_or(d));
+    let counters_default = json_default.replace(".json", "_counters.json");
+    let json_path = paths.next().unwrap_or(if counters_only {
+        &counters_default
     } else {
-        "BENCH_pr5.json"
+        json_default
+    });
+    let json = if counters_only {
+        &report.counters
+    } else {
+        &report.full
     };
-    let path = path_arg.map_or(default, String::as_str);
-    let fast = std::env::var("MSA_BENCH_FAST").is_ok_and(|v| v == "1");
-    let (counters, full) = bench::comm::comm_report(fast);
-    let body = if counters_only { counters } else { full };
-    if let Err(e) = std::fs::write(path, &body) {
-        // lint: allow(print) -- CLI diagnostic on stderr
-        eprintln!("cannot write {path}: {e}");
-        return 1;
-    }
-    // lint: allow(print) -- CLI status output
-    println!("wrote comm report to {path}");
-    0
-}
-
-/// Runs the `tune` subcommand (PR 7): executes the autotuner grid and
-/// writes the decision table (first path, default `TUNE_pr7.table`) and
-/// the grid report (second path, default `BENCH_pr7.json`). Both files
-/// are deterministic; `MSA_BENCH_FAST=1` swaps in the smoke grid.
-fn run_tune(rest: &[String]) -> i32 {
-    let table_path = rest.first().map_or("TUNE_pr7.table", String::as_str);
-    let json_path = rest.get(1).map_or("BENCH_pr7.json", String::as_str);
-    let fast = std::env::var("MSA_BENCH_FAST").is_ok_and(|v| v == "1");
-    let (table, json) = bench::tune::tune_report(fast);
-    for (path, body) in [(table_path, &table), (json_path, &json)] {
+    let table = table_path.zip(report.table.as_ref());
+    for (path, body) in table.into_iter().chain([(json_path, json)]) {
         if let Err(e) = std::fs::write(path, body) {
             // lint: allow(print) -- CLI diagnostic on stderr
             eprintln!("cannot write {path}: {e}");
             return 1;
         }
     }
-    // lint: allow(print) -- CLI status output
-    println!("wrote decision table to {table_path} and grid report to {json_path}");
-    0
-}
-
-/// Runs the `codec` subcommand (PR 9): measures the gradient wire
-/// codecs and writes the extended decision table (first path, default
-/// `TUNE_pr9.table`) and the codec report (second path, default
-/// `BENCH_pr9.json`). Both files are deterministic; `MSA_BENCH_FAST=1`
-/// shrinks the wire grid.
-fn run_codec(rest: &[String]) -> i32 {
-    let table_path = rest.first().map_or("TUNE_pr9.table", String::as_str);
-    let json_path = rest.get(1).map_or("BENCH_pr9.json", String::as_str);
-    let fast = std::env::var("MSA_BENCH_FAST").is_ok_and(|v| v == "1");
-    let (table, json) = bench::codec::codec_report(fast);
-    for (path, body) in [(table_path, &table), (json_path, &json)] {
-        if let Err(e) = std::fs::write(path, body) {
-            // lint: allow(print) -- CLI diagnostic on stderr
-            eprintln!("cannot write {path}: {e}");
-            return 1;
-        }
-    }
-    // lint: allow(print) -- CLI status output
-    println!("wrote extended decision table to {table_path} and codec report to {json_path}");
-    0
-}
-
-/// Runs the `pipeline` subcommand (PR 10): the overlapped input
-/// pipeline report. `--counters` writes the deterministic sections only
-/// (CI byte-compares two runs); otherwise the full report with the
-/// measured stage-bound epoch timing goes to the given path (default
-/// `BENCH_pr10.json`). `MSA_BENCH_FAST=1` shrinks the grids. Exits
-/// non-zero if any contract flag reads false.
-fn run_pipeline(rest: &[String]) -> i32 {
-    let counters_only = rest.first().is_some_and(|a| a == "--counters");
-    let path_arg = if counters_only { rest.get(1) } else { rest.first() };
-    let default = if counters_only {
-        "BENCH_pr10_counters.json"
-    } else {
-        "BENCH_pr10.json"
-    };
-    let path = path_arg.map_or(default, String::as_str);
-    let fast = std::env::var("MSA_BENCH_FAST").is_ok_and(|v| v == "1");
-    let (counters, full) = bench::pipeline::pipeline_report(fast);
-    let body = if counters_only { counters } else { full };
-    if let Err(e) = std::fs::write(path, &body) {
+    let failed = report.failed();
+    if !failed.is_empty() {
         // lint: allow(print) -- CLI diagnostic on stderr
-        eprintln!("cannot write {path}: {e}");
-        return 1;
-    }
-    let broken = [
-        "\"bit_identical\": false",
-        "\"wall_invariant\": false",
-        "\"partition_invariant\": false",
-        "\"prefetch_bit_identical\": false",
-        "\"overlap_saves_time\": false",
-        "\"zero_steady_state_allocs\": false",
-        "\"input_bound_at_scale\": false",
-        "\"real_epoch_speedup_ge_1_2x\": false",
-    ];
-    if broken.iter().any(|f| body.contains(f)) {
-        // lint: allow(print) -- CLI diagnostic on stderr
-        eprintln!("pipeline contract flags failed; see {path}");
+        eprintln!(
+            "{name} contract flags failed: {}; see {json_path}",
+            failed.join(", ")
+        );
         return 1;
     }
     // lint: allow(print) -- CLI status output
-    println!("wrote pipeline report to {path}");
-    0
-}
-
-fn run_serve(rest: &[String]) -> i32 {
-    let path = rest.first().map_or("BENCH_pr8.json", String::as_str);
-    let fast = std::env::var("MSA_BENCH_FAST").is_ok_and(|v| v == "1");
-    let (json, ok) = bench::serve::serve_report(fast);
-    if let Err(e) = std::fs::write(path, &json) {
-        // lint: allow(print) -- CLI diagnostic on stderr
-        eprintln!("cannot write {path}: {e}");
-        return 1;
-    }
-    if !ok {
-        // lint: allow(print) -- CLI diagnostic on stderr
-        eprintln!("serving contract flags failed (empty histogram or broken tradeoff); see {path}");
-        return 1;
-    }
-    // lint: allow(print) -- CLI status output
-    println!("wrote serving grid report to {path}");
+    println!(
+        "wrote {name} report to {}{json_path}",
+        table_path.map_or(String::new(), |t| format!("{t} and "))
+    );
     0
 }
 
@@ -242,27 +122,8 @@ fn main() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     }
-    if args[0] == "obs" {
-        let path = args.get(1).map_or("BENCH_pr3.json", String::as_str);
-        std::process::exit(run_obs(path));
-    }
-    if args[0] == "kernels" {
-        std::process::exit(run_kernels(&args[1..]));
-    }
-    if args[0] == "comm" {
-        std::process::exit(run_comm(&args[1..]));
-    }
-    if args[0] == "serve" {
-        std::process::exit(run_serve(&args[1..]));
-    }
-    if args[0] == "tune" {
-        std::process::exit(run_tune(&args[1..]));
-    }
-    if args[0] == "codec" {
-        std::process::exit(run_codec(&args[1..]));
-    }
-    if args[0] == "pipeline" {
-        std::process::exit(run_pipeline(&args[1..]));
+    if let Some(&(name, json, table)) = REPORTS.iter().find(|r| r.0 == args[0]) {
+        std::process::exit(write_report(name, json, table, &args[1..]));
     }
     for id in &args {
         // lint: allow(print) -- CLI report output

@@ -21,13 +21,14 @@
 //!
 //! Every number is read off virtual clocks, message counters or
 //! deterministic training, so two runs produce byte-identical files;
-//! CI runs the subcommand twice, `cmp`s the outputs and greps the
-//! contract flags.
+//! the artifact gate (`tests/artifacts.rs`) builds the report twice,
+//! compares both files with the committed ones and checks the flags.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use crate::kernels::bits_hash;
+use crate::fixture::{bits_hash, mlp, sgd, speedup_milli, toy_cfg, toy_dataset, POOL_THREADS};
+use crate::report::Report;
 use data::bigearth::{self, BigEarthConfig};
 use data::cxr::{self, CxrConfig};
 use distrib::{evaluate_classifier, FusionConfig, ScalingModel, TrainConfig, Trainer};
@@ -36,10 +37,6 @@ use msa_net::tune::{measure_codec, CodecEntry, CodecMeasurement, TuneGrid};
 use msa_net::{DecisionTable, GradCodec, LinkParams, Topology};
 use nn::{models, Adam, Optimizer, SoftmaxCrossEntropy};
 use tensor::Rng;
-
-/// Pool width pinned like the other reports, so overlapped trainer
-/// schedules are reproducible.
-const POOL_THREADS: usize = 4;
 
 const KIB: usize = 1024;
 const MIB: usize = 1024 * 1024;
@@ -66,21 +63,16 @@ struct CellReport {
     rows: Vec<CodecMeasurement>,
 }
 
-fn grid_cells(fast: bool) -> Vec<(usize, usize)> {
-    if fast {
-        vec![(2, 16 * KIB), (4, 64 * KIB)]
-    } else {
-        vec![
-            (4, 64 * KIB),
-            (4, MIB),
-            (8, 64 * KIB),
-            (8, MIB),
-            (32, MIB),
-            (96, 256 * KIB),
-            (128, 256 * KIB),
-        ]
-    }
-}
+/// The wire grid's (ranks, bytes) cells, up to the paper's 96/128 ranks.
+const GRID_CELLS: [(usize, usize); 7] = [
+    (4, 64 * KIB),
+    (4, MIB),
+    (8, 64 * KIB),
+    (8, MIB),
+    (32, MIB),
+    (96, 256 * KIB),
+    (128, 256 * KIB),
+];
 
 /// Measures every codec in every cell and extends `table` with the
 /// measured `ccell` rows.
@@ -120,8 +112,10 @@ fn run_grid(
         .collect()
 }
 
-fn speedup_milli(dense_ps: u64, codec_ps: u64) -> u64 {
-    dense_ps * 1000 / codec_ps.max(1)
+/// A codec row whose wire counters saw the dense byte count: the
+/// encoded payload never reached the wire.
+fn bytes_equal_dense(cell: &CellReport, m: &CodecMeasurement) -> bool {
+    m.bytes_total == cell.dense.bytes_total
 }
 
 fn grid_json(cells: &[CellReport], link: LinkParams, topo: Topology) -> String {
@@ -149,7 +143,7 @@ fn grid_json(cells: &[CellReport], link: LinkParams, topo: Topology) -> String {
                 m.measured_ps,
                 m.msgs_total,
                 m.bytes_total,
-                m.bytes_total == c.dense.bytes_total,
+                bytes_equal_dense(c, m),
                 speedup_milli(c.dense.measured_ps, m.measured_ps),
                 if j + 1 < c.rows.len() { "," } else { "" }
             );
@@ -182,39 +176,9 @@ struct TrainerSection {
 /// changes, so the sim-wall deltas are the codec's alone.
 fn bench_trainer(ranks: usize) -> TrainerSection {
     let (dim, hidden, classes) = (16, 32, 4);
-    let mut rng = Rng::seed(53);
-    let n = ranks * 16;
-    let mut x = Vec::with_capacity(n * dim);
-    let mut y = Vec::with_capacity(n);
-    for _ in 0..n {
-        let c = rng.below(classes);
-        let mut row: Vec<f32> = (0..dim).map(|_| rng.normal() * 0.3).collect();
-        row[c] += 2.0;
-        x.extend(row);
-        y.push(c as f32);
-    }
-    let ds = data::Dataset {
-        x: tensor::Tensor::from_vec(x, &[n, dim]),
-        y: tensor::Tensor::from_vec(y, &[n]),
-    };
-    let model = move |seed: u64| {
-        let mut rng = Rng::seed(seed);
-        nn::Sequential::new()
-            .push(nn::Dense::new(dim, hidden, &mut rng))
-            .push(nn::Relu::new())
-            .push(nn::Dense::new(hidden, classes, &mut rng))
-    };
-    let opt = |lr: f32| -> Box<dyn Optimizer> { Box::new(nn::Sgd::new(lr, 0.9, 0.0)) };
-    let cfg = TrainConfig {
-        workers: ranks,
-        epochs: 3,
-        batch_per_worker: 8,
-        base_lr: 0.05,
-        lr_scaling: true,
-        warmup_epochs: 1,
-        seed: 29,
-        checkpoint: None,
-    };
+    let ds = toy_dataset(ranks * 16, dim, classes, 53);
+    let model = mlp(dim, hidden, classes);
+    let cfg = toy_cfg(ranks, 3, 8, 29);
     let rows = [
         GradCodec::Dense32,
         GradCodec::Bf16,
@@ -225,7 +189,7 @@ fn bench_trainer(ranks: usize) -> TrainerSection {
         let report = Trainer::new(cfg.clone())
             .fusion(FusionConfig::fused(1024))
             .codec(codec)
-            .run(&ds, model, opt, SoftmaxCrossEntropy)
+            .run(&ds, model, sgd(0.0), SoftmaxCrossEntropy)
             // lint: allow(unwrap) -- no resume snapshot is armed, so run() cannot fail
             .expect("no snapshot to validate")
             .completed();
@@ -416,15 +380,12 @@ fn parity_json(name: &str, rows: &[ParityRow]) -> String {
 // Entry point.
 // ---------------------------------------------------------------------------
 
-/// The full codec report. Returns `(table_text, json)`: the extended
-/// `msa-tune-v1` decision table (with `ccell` rows) and the grid JSON.
-/// Both are fully deterministic — CI runs the subcommand twice and
-/// byte-compares both files. `fast` shrinks the wire grid and trainer
-/// for unit tests; the convergence sections are identical in both
-/// modes (they are the committed parity evidence).
-pub fn codec_report(fast: bool) -> (String, String) {
+/// The full codec report: the extended `msa-tune-v1` decision table
+/// (with `ccell` rows) and the grid JSON, both fully deterministic.
+/// Contracts: the five rendered flags, no codec row shipping the dense
+/// byte count, and `ccell` rows at the paper's 96 and 128 ranks.
+pub fn codec_report() -> Report {
     let _ = rayon::init_with_threads(POOL_THREADS);
-    let cells = grid_cells(fast);
     let link = LinkParams::extoll();
     let topo = Topology::esb(4);
 
@@ -435,20 +396,17 @@ pub fn codec_report(fast: bool) -> (String, String) {
     let grid = TuneGrid {
         link,
         topo,
-        cells: cells.clone(),
+        cells: GRID_CELLS.to_vec(),
     };
     let mut table = grid.run().table();
-    let cell_reports = run_grid(&cells, link, topo, &mut table);
+    let cell_reports = run_grid(&GRID_CELLS, link, topo, &mut table);
     let table_text = table.to_table_string();
     let round_trips = DecisionTable::parse(&table_text)
         .map(|t| t.to_table_string() == table_text)
         .unwrap_or(false);
     let table = Arc::new(table);
 
-    let trainer_ranks: &[usize] = if fast { &[2] } else { &[4, 8] };
-    let trainer: Vec<TrainerSection> =
-        trainer_ranks.iter().map(|&r| bench_trainer(r)).collect();
-    let gpu_counts: &[usize] = if fast { &[4] } else { &[96, 128] };
+    let trainer: Vec<TrainerSection> = [4, 8].into_iter().map(bench_trainer).collect();
 
     let bigearth = bigearth_parity();
     let covid = covidnet_parity();
@@ -459,7 +417,7 @@ pub fn codec_report(fast: bool) -> (String, String) {
             .find(|m| m.codec == GradCodec::Bf16)
             .is_some_and(|m| m.bytes_total * 2 == c.dense.bytes_total)
     });
-    let comm_bound_fast = cell_reports
+    let comm_bound_speed_up = cell_reports
         .iter()
         .filter(|c| c.ranks >= COMM_BOUND_RANKS)
         .all(|c| {
@@ -471,43 +429,36 @@ pub fn codec_report(fast: bool) -> (String, String) {
     let mut json = String::from("{\n");
     json.push_str(&grid_json(&cell_reports, link, topo));
     json.push_str(&trainer_json(&trainer));
-    json.push_str(&perf_json(&table, gpu_counts));
+    json.push_str(&perf_json(&table, &[96, 128]));
     json.push_str("  \"convergence\": {\n");
     json.push_str(&parity_json("bigearth", &bigearth));
     json.push_str(",\n");
     json.push_str(&parity_json("covidnet", &covid));
     json.push_str("\n  },\n");
+    let (parity_bigearth, parity_covidnet) = (parity_holds(&bigearth), parity_holds(&covid));
     let _ = writeln!(
         json,
-        "  \"bf16_halves_wire_bytes\": {halves},\n  \"comm_bound_cells_speed_up\": {comm_bound_fast},\n  \"convergence_parity_bigearth\": {},\n  \"convergence_parity_covidnet\": {},\n  \"table_round_trips\": {round_trips}",
-        parity_holds(&bigearth),
-        parity_holds(&covid)
+        "  \"bf16_halves_wire_bytes\": {halves},\n  \"comm_bound_cells_speed_up\": {comm_bound_speed_up},\n  \"convergence_parity_bigearth\": {parity_bigearth},\n  \"convergence_parity_covidnet\": {parity_covidnet},\n  \"table_round_trips\": {round_trips}"
     );
     json.push('}');
-    (table_text, json)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn codec_report_is_deterministic_and_contract_flags_hold() {
-        let (t1, j1) = codec_report(true);
-        let (t2, j2) = codec_report(true);
-        assert_eq!(t1, t2, "extended tables differ between runs");
-        assert_eq!(j1, j2, "codec reports differ between runs");
-        assert!(j1.contains("\"bf16_halves_wire_bytes\": true"), "{j1}");
-        assert!(j1.contains("\"comm_bound_cells_speed_up\": true"), "{j1}");
-        assert!(j1.contains("\"convergence_parity_bigearth\": true"), "{j1}");
-        assert!(j1.contains("\"convergence_parity_covidnet\": true"), "{j1}");
-        assert!(j1.contains("\"table_round_trips\": true"), "{j1}");
-        // No codec row may ship the dense byte count — the wire counters
-        // must see the *encoded* payload.
-        assert!(!j1.contains("\"bytes_equal_dense\": true"), "{j1}");
-        // The extended table parses and the ccell rows survive.
-        let parsed = DecisionTable::parse(&t1).expect("extended table must parse");
-        assert!(!parsed.codec_entries().is_empty());
-        assert_eq!(parsed.to_table_string(), t1);
+    let has_ccell = |r: usize| table.codec_entries().iter().any(|e| e.ranks == r);
+    let flags = vec![
+        ("bf16_halves_wire_bytes", halves),
+        ("comm_bound_cells_speed_up", comm_bound_speed_up),
+        ("convergence_parity_bigearth", parity_bigearth),
+        ("convergence_parity_covidnet", parity_covidnet),
+        ("table_round_trips", round_trips),
+        (
+            "no_row_ships_dense_bytes",
+            cell_reports
+                .iter()
+                .all(|c| c.rows.iter().all(|m| !bytes_equal_dense(c, m))),
+        ),
+        ("ccell_ranks_96", has_ccell(96)),
+        ("ccell_ranks_128", has_ccell(128)),
+    ];
+    Report {
+        table: Some(table_text),
+        ..Report::deterministic(json, flags)
     }
 }

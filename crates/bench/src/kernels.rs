@@ -16,45 +16,20 @@
 //!   scoped OS threads and per-batch index `Vec`s on every call.
 //!
 //! The report has two sections: `counters` is fully deterministic
-//! (kernel checksums, bit-equality flags, scratch-growth counts — CI
-//! runs the subcommand twice and byte-compares this section) and
+//! (kernel checksums, bit-equality flags, scratch-growth counts — the
+//! artifact gate builds it twice and byte-compares this section) and
 //! `timings` carries the wall-clock numbers and speedups, which
 //! naturally vary run to run.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
+use crate::fixture::{bits_hash, min_ns, POOL_THREADS};
+use crate::report::Report;
 use nn::Layer;
 use rayon::prelude::*;
 use tensor::conv::{col2im, im2col};
 use tensor::matmul::{matmul, matmul_nt, matmul_tn, reference};
 use tensor::{Rng, Tensor};
-
-/// Pool width the report is pinned to (first caller wins; pinning makes
-/// the deterministic counters independent of the runner's core count).
-const POOL_THREADS: usize = 4;
-
-/// Order-sensitive FNV-style hash over the exact f32 bit patterns: any
-/// single-bit deviation in any element changes the checksum.
-pub(crate) fn bits_hash(data: &[f32]) -> u64 {
-    data.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
-        (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// Minimum wall time of `reps` runs of `f`, in nanoseconds. The minimum
-/// is the noise-robust estimator here: scheduler preemption and
-/// frequency dips only ever make a run *slower*, so the fastest
-/// observation is the closest to the kernel's true cost.
-pub(crate) fn min_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    (0..reps.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            t.elapsed().as_nanos() as f64
-        })
-        .fold(f64::INFINITY, f64::min)
-}
 
 /// Seed-style Conv2d baseline: the exact allocation and kernel pattern
 /// the layer had before the arena rework — per-sample column/gradient
@@ -250,10 +225,7 @@ fn bench_matmul(n: usize, reps: usize) -> MatmulRow {
 }
 
 fn bits_equal(x: &Tensor, y: &Tensor) -> bool {
-    x.data()
-        .iter()
-        .zip(y.data())
-        .all(|(u, v)| u.to_bits() == v.to_bits())
+    crate::fixture::bits_equal(x.data(), y.data())
 }
 
 fn bench_nt_hot((m, k, n): (usize, usize, usize), reps: usize) -> NtHotRow {
@@ -291,26 +263,8 @@ fn bench_conv(reps: usize) -> ConvSection {
     let y_off = rayon::serial_scope(|| conv.forward(&x, true));
     let dx_off = rayon::serial_scope(|| conv.backward(&g));
 
-    let bit_equal_seed = y_new
-        .data()
-        .iter()
-        .zip(y_seed.data())
-        .all(|(a, b)| a.to_bits() == b.to_bits())
-        && dx_new
-            .data()
-            .iter()
-            .zip(dx_seed.data())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-    let bit_equal_pool_off = y_new
-        .data()
-        .iter()
-        .zip(y_off.data())
-        .all(|(a, b)| a.to_bits() == b.to_bits())
-        && dx_new
-            .data()
-            .iter()
-            .zip(dx_off.data())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
+    let bit_equal_seed = bits_equal(&y_new, &y_seed) && bits_equal(&dx_new, &dx_seed);
+    let bit_equal_pool_off = bits_equal(&y_new, &y_off) && bits_equal(&dx_new, &dx_off);
 
     // Warm-up happened above; steady-state steps must not grow scratch.
     let grows_warm = conv.scratch_grows();
@@ -429,11 +383,11 @@ fn timings_json(rows: &[MatmulRow], nt_hot: &[NtHotRow], conv: &ConvSection) -> 
     s
 }
 
-/// The full kernel report. Returns `(counters_json, full_json)`:
-/// `counters_json` is deterministic run-to-run (CI byte-compares two
-/// invocations), `full_json` embeds counters plus wall-clock timings and
-/// is the committed `BENCH_pr4.json` artifact.
-pub fn kernel_report(fast: bool) -> (String, String) {
+/// The full kernel report: `counters` is deterministic run-to-run,
+/// `full` embeds counters plus wall-clock timings and is the committed
+/// `BENCH_pr4.json` artifact. Every bit-equality and scratch-stability
+/// flag the counters render is a contract.
+pub fn kernel_report(fast: bool) -> Report {
     // Pin the pool width so partitioning (and thus every counter) is
     // independent of the runner; no-op if the pool is already up.
     let _ = rayon::init_with_threads(POOL_THREADS);
@@ -453,23 +407,28 @@ pub fn kernel_report(fast: bool) -> (String, String) {
     full.push_str(",\n\"timings\": ");
     full.push_str(&timings_json(&rows, &nt_hot, &conv));
     full.push_str("\n}");
-    (counters, full)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counters_are_deterministic_and_kernels_bit_exact() {
-        let (c1, _) = kernel_report(true);
-        let (c2, _) = kernel_report(true);
-        assert_eq!(c1, c2, "deterministic counters differ between runs");
-        assert!(c1.contains("\"bit_equal_ref\": true"));
-        assert!(!c1.contains("\"bit_equal_ref\": false"));
-        assert!(c1.contains("\"bit_equal_seed\": true"));
-        assert!(c1.contains("\"grows_stable\": true"));
-        assert!(c1.contains("\"matmul_nt_hot\""));
-        assert!(!c1.contains("false"), "a counter flag is false:\n{c1}");
+    let flags = vec![
+        ("matmul_bit_equal_ref", rows.iter().all(|r| r.bit_equal_ref)),
+        (
+            "matmul_bit_equal_pool_off",
+            rows.iter().all(|r| r.bit_equal_pool_off),
+        ),
+        (
+            "matmul_nt_hot_bit_equal_ref",
+            nt_hot.len() == NT_HOT_SHAPES.len() && nt_hot.iter().all(|r| r.bit_equal_ref),
+        ),
+        (
+            "matmul_nt_hot_bit_equal_pool_off",
+            nt_hot.iter().all(|r| r.bit_equal_pool_off),
+        ),
+        ("conv2d_bit_equal_seed", conv.bit_equal_seed),
+        ("conv2d_bit_equal_pool_off", conv.bit_equal_pool_off),
+        ("conv2d_grows_stable", conv.grows_stable),
+    ];
+    Report {
+        counters,
+        full,
+        table: None,
+        flags,
     }
 }

@@ -3,12 +3,16 @@
 //! `EXPERIMENTS.md` for the paper-vs-measured record).
 //!
 //! Each function returns its report as a `String` so integration tests
-//! can assert on the numbers; the `experiments` binary prints them.
+//! can assert on the numbers; the `experiments` binary prints them. The
+//! artifact reports (`obs`, `kernels`, …, `pipeline`) each return one
+//! [`report::Report`] and are built by name through [`report::report`].
 
 pub mod codec;
 pub mod comm;
+mod fixture;
 pub mod kernels;
 pub mod pipeline;
+pub mod report;
 pub mod serve;
 pub mod tune;
 
@@ -36,7 +40,7 @@ use msa_sched::{
 use msa_storage::{
     simulate_failures, ArchiveLink, CheckpointTarget, Nam, StagingPlan, YoungDaly,
 };
-use nn::{models, Adam, Dense, Layer, MaskedMae, Optimizer, Relu, Sequential, Sgd, SoftmaxCrossEntropy};
+use nn::{models, Adam, Layer, MaskedMae, Optimizer, SoftmaxCrossEntropy};
 use qa::{train_ensemble, AnnealerSpec, QsvmConfig};
 use tensor::{Rng, Tensor};
 
@@ -793,33 +797,6 @@ pub fn e14_interactive() -> String {
     out
 }
 
-fn obs_mlp(seed: u64) -> Sequential {
-    let mut rng = Rng::seed(seed);
-    Sequential::new()
-        .push(Dense::new(8, 16, &mut rng))
-        .push(Relu::new())
-        .push(Dense::new(16, 4, &mut rng))
-}
-
-/// Tiny separable dataset for the observability runs (same construction
-/// as the trainer's toy problem; fully seed-determined).
-fn obs_dataset(n: usize, dim: usize, classes: usize, seed: u64) -> data::Dataset {
-    let mut rng = Rng::seed(seed);
-    let mut x = Vec::with_capacity(n * dim);
-    let mut y = Vec::with_capacity(n);
-    for _ in 0..n {
-        let c = rng.below(classes);
-        let mut row: Vec<f32> = (0..dim).map(|_| rng.normal() * 0.3).collect();
-        row[c] += 2.0;
-        x.extend(row);
-        y.push(c as f32);
-    }
-    data::Dataset {
-        x: Tensor::from_vec(x, &[n, dim]),
-        y: Tensor::from_vec(y, &[n]),
-    }
-}
-
 /// The PR-3 observability artifact (`BENCH_pr3.json`): one deterministic
 /// msa-obs registry covering
 ///
@@ -831,32 +808,27 @@ fn obs_dataset(n: usize, dim: usize, classes: usize, seed: u64) -> data::Dataset
 /// * the NAM staging planner — WAN traffic and staging time per strategy.
 ///
 /// Everything is virtual-time priced and integer-accumulated, so two
-/// calls return **byte-identical** snapshots (asserted in CI by running
-/// the binary twice and comparing the files).
-pub fn obs_report() -> msa_obs::Snapshot {
+/// calls return **byte-identical** snapshots. Contracts: the snapshot is
+/// non-empty and carries the headline keys — trainer breakdown per p,
+/// per-collective traffic, module utilization, staging bytes.
+pub fn obs_report() -> report::Report {
     use std::sync::Arc;
     let reg = Arc::new(msa_obs::MetricsRegistry::new());
 
     // (a) Trainer: weak-scaling sweep with checkpoints armed.
-    let ds = obs_dataset(256, 8, 4, 97);
+    let ds = fixture::toy_dataset(256, 8, 4, 97);
     for workers in [1usize, 4, 8] {
         let tc = TrainConfig {
-            workers,
-            epochs: 2,
-            batch_per_worker: 8,
-            base_lr: 0.05,
-            lr_scaling: true,
-            warmup_epochs: 1,
-            seed: 97,
             checkpoint: Some(CheckpointPolicy::every(5)),
+            ..fixture::toy_cfg(workers, 2, 8, 97)
         };
         Trainer::new(tc)
             .recorder(Arc::clone(&reg))
             .tag(format!("p{workers}"))
             .run(
                 &ds,
-                obs_mlp,
-                |lr| Box::new(Sgd::new(lr, 0.9, 0.0)),
+                fixture::mlp(8, 16, 4),
+                fixture::sgd(0.0),
                 SoftmaxCrossEntropy,
             )
             // lint: allow(unwrap) -- no resume snapshot supplied, decode cannot fail
@@ -888,7 +860,25 @@ pub fn obs_report() -> msa_obs::Snapshot {
         }
     }
 
-    reg.snapshot()
+    let snap = reg.snapshot();
+    let headline_keys = [
+        "trainer.phase.compute.time{rank=0,run=p1}",
+        "trainer.phase.allreduce.time{rank=0,run=p4}",
+        "trainer.phase.checkpoint.time{rank=0,run=p8}",
+        // The trainer's gradient exchange is the pipeline schedule,
+        // which scopes its traffic under its own op.
+        "net.comm.bytes_sent{op=pipeline,rank=3,run=p4}",
+        "sched.makespan{trace=deep40}",
+        "storage.staging.wan_bytes{nodes=64,strategy=nam}",
+    ];
+    let flags = vec![
+        ("non_empty", !snap.is_empty()),
+        (
+            "headline_keys_present",
+            headline_keys.iter().all(|k| snap.get(k).is_some()),
+        ),
+    ];
+    report::Report::deterministic(snap.to_json(), flags)
 }
 
 #[cfg(test)]
@@ -897,29 +887,6 @@ mod tests {
     fn unknown_experiment_reports_gracefully() {
         let s = super::run("e99");
         assert!(s.contains("unknown experiment"));
-    }
-
-    #[test]
-    fn obs_report_is_nonempty_and_bit_identical() {
-        let a = super::obs_report();
-        let b = super::obs_report();
-        assert!(!a.is_empty());
-        assert_eq!(a, b, "two obs runs must produce identical snapshots");
-        assert_eq!(a.to_json(), b.to_json());
-        // The headline artifacts are present: trainer breakdown per p,
-        // per-collective traffic, module utilization, staging bytes.
-        for k in [
-            "trainer.phase.compute.time{rank=0,run=p1}",
-            "trainer.phase.allreduce.time{rank=0,run=p4}",
-            "trainer.phase.checkpoint.time{rank=0,run=p8}",
-            // The trainer's gradient exchange is the pipeline schedule,
-            // which scopes its traffic under its own op since PR 7.
-            "net.comm.bytes_sent{op=pipeline,rank=3,run=p4}",
-            "sched.makespan{trace=deep40}",
-            "storage.staging.wan_bytes{nodes=64,strategy=nam}",
-        ] {
-            assert!(a.get(k).is_some(), "missing key {k}");
-        }
     }
 
     #[test]

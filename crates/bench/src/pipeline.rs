@@ -32,27 +32,26 @@
 //!   allocator/page-fault traffic, not thread overlap (single core) —
 //!   the committed flag requires ≥ 1.2×.
 //!
-//! The counters sections are byte-identical between runs; CI runs the
-//! subcommand twice with `--counters`, `cmp`s the outputs and greps
-//! the contract flags from the committed full report.
+//! The counters sections are byte-identical between runs; the artifact
+//! gate builds them twice, requires them to open the committed full
+//! report and reads its measured flag there.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::kernels::bits_hash;
+use crate::fixture::{
+    bits_equal, bits_hash, mlp, sgd, speedup_milli, toy_cfg, toy_dataset, POOL_THREADS,
+};
+use crate::report::Report;
 use data::stream::{with_prefetch, BatchSource, BatchStream, SlabPool, DEFAULT_PREFETCH_DEPTH};
-use distrib::{FusionConfig, ScalingModel, StageTerm, StepCost, TrainConfig, TrainReport, Trainer};
+use distrib::{FusionConfig, ScalingModel, StageTerm, StepCost, TrainReport, Trainer};
 use msa_core::hw::catalog;
 use msa_net::{GradCodec, LinkParams};
 use msa_obs::MetricsRegistry;
 use msa_storage::ParallelFs;
-use nn::{Optimizer, SoftmaxCrossEntropy};
+use nn::SoftmaxCrossEntropy;
 use std::sync::Arc;
 use tensor::{Rng, Tensor};
-
-/// Pool width pinned like the other reports, so batch assembly and
-/// overlapped trainer schedules are reproducible.
-const POOL_THREADS: usize = 4;
 
 /// The keys the prefetcher is *allowed* (and expected) to move. The
 /// identity grid compares snapshots with these excluded and checks the
@@ -74,53 +73,9 @@ fn byte_hash(bytes: &[u8]) -> u64 {
     })
 }
 
-fn speedup_milli(base: u64, improved: u64) -> u64 {
-    base * 1000 / improved.max(1)
-}
-
 // ---------------------------------------------------------------------------
 // Shared trainer fixture.
 // ---------------------------------------------------------------------------
-
-fn fixture_dataset(ranks: usize) -> data::Dataset {
-    let (dim, classes) = (16, 4);
-    let mut rng = Rng::seed(53);
-    let n = ranks * 16;
-    let mut x = Vec::with_capacity(n * dim);
-    let mut y = Vec::with_capacity(n);
-    for _ in 0..n {
-        let c = rng.below(classes);
-        let mut row: Vec<f32> = (0..dim).map(|_| rng.normal() * 0.3).collect();
-        row[c] += 2.0;
-        x.extend(row);
-        y.push(c as f32);
-    }
-    data::Dataset {
-        x: Tensor::from_vec(x, &[n, dim]),
-        y: Tensor::from_vec(y, &[n]),
-    }
-}
-
-fn fixture_model(seed: u64) -> nn::Sequential {
-    let mut rng = Rng::seed(seed);
-    nn::Sequential::new()
-        .push(nn::Dense::new(16, 32, &mut rng))
-        .push(nn::Relu::new())
-        .push(nn::Dense::new(32, 4, &mut rng))
-}
-
-fn fixture_cfg(ranks: usize) -> TrainConfig {
-    TrainConfig {
-        workers: ranks,
-        epochs: 3,
-        batch_per_worker: 8,
-        base_lr: 0.05,
-        lr_scaling: true,
-        warmup_epochs: 1,
-        seed: 29,
-        checkpoint: None,
-    }
-}
 
 /// One run of the shared fixture; returns the report and its canonical
 /// obs snapshot split into the unchanged part and the moved part.
@@ -130,10 +85,9 @@ fn run_fixture(
     depth: usize,
     cost: Option<StepCost>,
 ) -> (TrainReport, Vec<u8>, Vec<u8>) {
-    let ds = fixture_dataset(ranks);
-    let opt = |lr: f32| -> Box<dyn Optimizer> { Box::new(nn::Sgd::new(lr, 0.9, 0.0)) };
+    let ds = toy_dataset(ranks * 16, 16, 4, 53);
     let reg = Arc::new(MetricsRegistry::new());
-    let mut t = Trainer::new(fixture_cfg(ranks))
+    let mut t = Trainer::new(toy_cfg(ranks, 3, 8, 29))
         .fusion(FusionConfig::fused(1024))
         .codec(codec)
         .prefetch(depth)
@@ -142,7 +96,7 @@ fn run_fixture(
         t = t.cost(c);
     }
     let report = t
-        .run(&ds, fixture_model, opt, SoftmaxCrossEntropy)
+        .run(&ds, mlp(16, 32, 4), sgd(0.0), SoftmaxCrossEntropy)
         // lint: allow(unwrap) -- no resume snapshot is armed, so run() cannot fail
         .expect("no snapshot to validate")
         .completed();
@@ -184,17 +138,8 @@ fn identity_grid(ranks_list: &[usize]) -> Vec<IdentityRow> {
             let (base, base_obs, base_moved) = run_fixture(ranks, codec, 0, None);
             let (pre, pre_obs, pre_moved) =
                 run_fixture(ranks, codec, DEFAULT_PREFETCH_DEPTH, None);
-            let identical = base.final_params.len() == pre.final_params.len()
-                && base
-                    .final_params
-                    .iter()
-                    .zip(&pre.final_params)
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-                && base
-                    .final_state
-                    .iter()
-                    .zip(&pre.final_state)
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
+            let identical = bits_equal(&base.final_params, &pre.final_params)
+                && bits_equal(&base.final_state, &pre.final_state)
                 && losses_hash(&base) == losses_hash(&pre)
                 && base_obs == pre_obs;
             // The excluded keys must move in the promised direction:
@@ -424,6 +369,7 @@ fn scaling_json(rows: &[ScaleRow]) -> String {
 // ---------------------------------------------------------------------------
 
 struct Timing {
+    batch_mb: f64,
     depth0_ns: f64,
     depth2_ns: f64,
     speedup_milli: u64,
@@ -434,12 +380,8 @@ struct Timing {
 /// seed's behavior) pays map/fault/unmap on every batch while depth 2
 /// streams through the warm slab pool. Minimum of `reps` epochs per
 /// depth, interleaved, after one warm-up each.
-fn real_timing(fast: bool) -> Timing {
-    let (items, item_len, batch, reps) = if fast {
-        (48usize, 4096usize, 16usize, 2usize)
-    } else {
-        (192, 160_000, 64, 5)
-    };
+fn real_timing() -> Timing {
+    let (items, item_len, batch, reps) = (192usize, 160_000usize, 64usize, 5);
     let x: Vec<f32> = (0..items * item_len).map(|i| (i % 251) as f32).collect();
     let y: Vec<f32> = (0..items).map(|i| (i % 7) as f32).collect();
     let ds = data::Dataset {
@@ -488,16 +430,17 @@ fn real_timing(fast: bool) -> Timing {
         d2 = d2.min(t.elapsed().as_nanos() as f64);
     }
     Timing {
+        batch_mb: (batch * item_len * size_of::<f32>()) as f64 / 1e6,
         depth0_ns: d0,
         depth2_ns: d2,
         speedup_milli: speedup_milli(d0 as u64, d2 as u64),
     }
 }
 
-fn timing_json(t: &Timing, batch_mb: f64) -> String {
+fn timing_json(t: &Timing) -> String {
     format!(
-        "  \"real_timing\": {{\"stage_bound_batch_mb\": {batch_mb:.1}, \"depth0_epoch_ns\": {}, \"depth2_epoch_ns\": {}, \"epoch_speedup_milli\": {}}},\n",
-        t.depth0_ns as u64, t.depth2_ns as u64, t.speedup_milli
+        "  \"real_timing\": {{\"stage_bound_batch_mb\": {:.1}, \"depth0_epoch_ns\": {}, \"depth2_epoch_ns\": {}, \"epoch_speedup_milli\": {}}},\n",
+        t.batch_mb, t.depth0_ns as u64, t.depth2_ns as u64, t.speedup_milli
     )
 }
 
@@ -505,18 +448,17 @@ fn timing_json(t: &Timing, batch_mb: f64) -> String {
 // Entry point.
 // ---------------------------------------------------------------------------
 
-/// The full pipeline report. Returns `(counters_json, full_json)`: the
-/// deterministic sections alone (CI byte-compares two runs) and the
-/// same plus the measured epoch timing and its acceptance flag. `fast`
-/// shrinks the grids for unit tests.
-pub fn pipeline_report(fast: bool) -> (String, String) {
+/// The full pipeline report: `counters` holds the deterministic sections
+/// and their flags; with `measure`, `full` adds the measured epoch timing
+/// and its ≥ 1.2× flag (without it, `full` equals `counters`). Every
+/// flag, per-row ones included, is a contract.
+pub fn pipeline_report(measure: bool) -> Report {
     let _ = rayon::init_with_threads(POOL_THREADS);
-    let ranks_list: &[usize] = if fast { &[1, 2] } else { &[1, 4, 8] };
+    let ranks_list: &[usize] = &[1, 4, 8];
     let identity = identity_grid(ranks_list);
     let sweep = modeled_sweep(ranks_list);
     let allocs = alloc_proof();
-    let gpu_counts: &[usize] = &[1, 4, 8, 96, 128];
-    let scaling = scaling_rows(gpu_counts);
+    let scaling = scaling_rows(&[1, 4, 8, 96, 128]);
 
     let bit_identical = identity.iter().all(|r| r.identical && r.wall_invariant);
     let overlap_saves = sweep
@@ -533,49 +475,47 @@ pub fn pipeline_report(fast: bool) -> (String, String) {
     counters.push_str(&sweep_json(&sweep));
     counters.push_str(&alloc_json(&allocs));
     counters.push_str(&scaling_json(&scaling));
-    let flags = format!(
+    let rendered_flags = format!(
         "  \"prefetch_bit_identical\": {bit_identical},\n  \"overlap_saves_time\": {overlap_saves},\n  \"zero_steady_state_allocs\": {zero_allocs},\n  \"input_bound_at_scale\": {input_bound_at_scale}"
     );
     let mut full = counters.clone();
-    counters.push_str(&flags);
+    counters.push_str(&rendered_flags);
     counters.push_str("\n}");
+    let mut flags = vec![
+        ("prefetch_bit_identical", bit_identical),
+        ("overlap_saves_time", overlap_saves),
+        ("zero_steady_state_allocs", zero_allocs),
+        ("input_bound_at_scale", input_bound_at_scale),
+        (
+            "every_row_bit_identical",
+            identity.iter().all(|r| r.identical),
+        ),
+        (
+            "every_row_wall_invariant",
+            identity.iter().all(|r| r.wall_invariant),
+        ),
+        (
+            "every_row_partition_invariant",
+            sweep.iter().all(|r| r.invariant),
+        ),
+    ];
+    if !measure {
+        return Report::deterministic(counters, flags);
+    }
 
-    let timing = real_timing(fast);
-    let batch_mb = if fast {
-        16.0 * 4096.0 * 4.0 / 1e6
-    } else {
-        64.0 * 160_000.0 * 4.0 / 1e6
-    };
-    full.push_str(&timing_json(&timing, batch_mb));
-    full.push_str(&flags);
+    let timing = real_timing();
+    let speedup_ok = timing.speedup_milli >= 1200;
+    full.push_str(&timing_json(&timing));
+    full.push_str(&rendered_flags);
     let _ = write!(
         full,
-        ",\n  \"real_epoch_speedup_ge_1_2x\": {}\n}}",
-        timing.speedup_milli >= 1200
+        ",\n  \"real_epoch_speedup_ge_1_2x\": {speedup_ok}\n}}"
     );
-    (counters, full)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pipeline_counters_are_deterministic_and_contract_flags_hold() {
-        let (c1, f1) = pipeline_report(true);
-        let (c2, _) = pipeline_report(true);
-        assert_eq!(c1, c2, "pipeline counters differ between runs");
-        assert!(c1.contains("\"prefetch_bit_identical\": true"), "{c1}");
-        assert!(c1.contains("\"overlap_saves_time\": true"), "{c1}");
-        assert!(c1.contains("\"zero_steady_state_allocs\": true"), "{c1}");
-        assert!(c1.contains("\"input_bound_at_scale\": true"), "{c1}");
-        // No identity row may fail its per-row checks.
-        assert!(!c1.contains("\"bit_identical\": false"), "{c1}");
-        assert!(!c1.contains("\"wall_invariant\": false"), "{c1}");
-        assert!(!c1.contains("\"partition_invariant\": false"), "{c1}");
-        // The full report carries the measured section + its flag (the
-        // flag value is timing-dependent; fast mode only checks shape).
-        assert!(f1.contains("\"real_timing\""), "{f1}");
-        assert!(f1.contains("\"real_epoch_speedup_ge_1_2x\""), "{f1}");
+    flags.push(("real_epoch_speedup_ge_1_2x", speedup_ok));
+    Report {
+        counters,
+        full,
+        table: None,
+        flags,
     }
 }

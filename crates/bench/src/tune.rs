@@ -16,23 +16,19 @@
 //!
 //! Everything in both artifacts is read off virtual clocks and message
 //! counters — no wall-clock anywhere — so two runs of the subcommand
-//! must produce byte-identical files; CI `cmp`s them.
+//! must produce byte-identical files; the artifact gate compares them
+//! with each other and with the committed ones.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use crate::kernels::bits_hash;
-use data::Dataset;
-use distrib::{ExchangeDispatch, FusionConfig, ScalingModel, StepCost, TrainConfig, Trainer};
+use crate::fixture::{bits_equal, bits_hash, mlp, sgd, toy_cfg, toy_dataset, POOL_THREADS};
+use crate::report::Report;
+use distrib::{ExchangeDispatch, FusionConfig, ScalingModel, StepCost, Trainer};
 use msa_core::hw::catalog;
 use msa_net::tune::{Cell, TuneGrid, TuneReport};
 use msa_net::DecisionTable;
-use nn::{Dense, Optimizer, Relu, Sequential, Sgd, SoftmaxCrossEntropy};
-use tensor::{Rng, Tensor};
-
-/// Pool width pinned like the comm report: the tuned trainer section
-/// schedules overlapped buckets on this pool.
-const POOL_THREADS: usize = 4;
+use nn::SoftmaxCrossEntropy;
 
 // ---------------------------------------------------------------------------
 // Grid section.
@@ -57,8 +53,20 @@ fn cell_json(cell: &Cell, table: &DecisionTable) -> String {
             if i + 1 < cell.measurements.len() { "," } else { "" }
         );
     }
-    // The table's pick for this exact cell must be the measured argmin —
-    // the acceptance invariant, recomputed here from the raw rows.
+    let _ = write!(
+        s,
+        "    ], \"winner\": \"{}\", \"fallback\": \"{}\", \"winner_is_argmin\": {}, \"zero_wire_rows\": {}}}",
+        cell.winner().algo.name(),
+        cell.best_software().algo.name(),
+        winner_is_argmin(cell, table),
+        zero_wire_rows(cell)
+    );
+    s
+}
+
+/// The table's pick for this exact cell is the measured argmin — the
+/// acceptance invariant, recomputed here from the raw rows.
+fn winner_is_argmin(cell: &Cell, table: &DecisionTable) -> bool {
     let argmin_ps = cell
         .measurements
         .iter()
@@ -66,24 +74,30 @@ fn cell_json(cell: &Cell, table: &DecisionTable) -> String {
         .min()
         .unwrap_or(0);
     let picked = table.entry_for(cell.ranks, cell.bytes);
-    let winner_is_argmin = picked.ranks == cell.ranks
+    picked.ranks == cell.ranks
         && picked.bytes == cell.bytes
         && picked.measured_ps == argmin_ps
-        && picked.algo == cell.winner().algo;
-    let zero_rows = cell
-        .measurements
+        && picked.algo == cell.winner().algo
+}
+
+/// Candidates that recorded no messages on a multi-rank mesh: phantom
+/// zeros, a measurement bug by definition.
+fn zero_wire_rows(cell: &Cell) -> usize {
+    cell.measurements
         .iter()
         .filter(|m| cell.ranks > 1 && m.msgs_total == 0)
-        .count();
-    let _ = write!(
-        s,
-        "    ], \"winner\": \"{}\", \"fallback\": \"{}\", \"winner_is_argmin\": {}, \"zero_wire_rows\": {}}}",
-        cell.winner().algo.name(),
-        cell.best_software().algo.name(),
-        winner_is_argmin,
-        zero_rows
-    );
-    s
+        .count()
+}
+
+fn all_winners_are_argmin(report: &TuneReport, table: &DecisionTable) -> bool {
+    report.cells.iter().all(|c| {
+        let e = table.entry_for(c.ranks, c.bytes);
+        e.algo == c.winner().algo && e.measured_ps == c.winner().measured_ps
+    })
+}
+
+fn max_ranks_executed(report: &TuneReport) -> usize {
+    report.cells.iter().map(|c| c.ranks).max().unwrap_or(0)
 }
 
 fn grid_json(report: &TuneReport, table: &DecisionTable) -> String {
@@ -102,24 +116,12 @@ fn grid_json(report: &TuneReport, table: &DecisionTable) -> String {
         s.push_str(if i + 1 < report.cells.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ],\n");
-    let all_argmin = report.cells.iter().all(|c| {
-        let e = table.entry_for(c.ranks, c.bytes);
-        e.algo == c.winner().algo && e.measured_ps == c.winner().measured_ps
-    });
-    let zero_rows: usize = report
-        .cells
-        .iter()
-        .map(|c| {
-            c.measurements
-                .iter()
-                .filter(|m| c.ranks > 1 && m.msgs_total == 0)
-                .count()
-        })
-        .sum();
-    let max_ranks = report.cells.iter().map(|c| c.ranks).max().unwrap_or(0);
     let _ = writeln!(
         s,
-        "  \"all_winners_are_argmin\": {all_argmin},\n  \"zero_wire_rows\": {zero_rows},\n  \"max_ranks_executed\": {max_ranks},"
+        "  \"all_winners_are_argmin\": {},\n  \"zero_wire_rows\": {},\n  \"max_ranks_executed\": {},",
+        all_winners_are_argmin(report, table),
+        report.cells.iter().map(zero_wire_rows).sum::<usize>(),
+        max_ranks_executed(report)
     );
     s
 }
@@ -127,27 +129,6 @@ fn grid_json(report: &TuneReport, table: &DecisionTable) -> String {
 // ---------------------------------------------------------------------------
 // Tuned-dispatch trainer section.
 // ---------------------------------------------------------------------------
-
-fn toy_dataset(n: usize, dim: usize, classes: usize, seed: u64) -> Dataset {
-    let mut rng = Rng::seed(seed);
-    let mut x = Vec::with_capacity(n * dim);
-    let mut y = Vec::with_capacity(n);
-    for _ in 0..n {
-        let c = rng.below(classes);
-        let mut row: Vec<f32> = (0..dim).map(|_| rng.normal() * 0.3).collect();
-        row[c] += 2.0;
-        x.extend(row);
-        y.push(c as f32);
-    }
-    Dataset {
-        x: Tensor::from_vec(x, &[n, dim]),
-        y: Tensor::from_vec(y, &[n]),
-    }
-}
-
-fn opt(lr: f32) -> Box<dyn Optimizer> {
-    Box::new(Sgd::new(lr, 0.9, 1e-4))
-}
 
 struct TrainSection {
     ranks: usize,
@@ -165,48 +146,27 @@ struct TrainSection {
 fn bench_tuned_trainer(table: &Arc<DecisionTable>, ranks: usize) -> TrainSection {
     let (dim, hidden, classes) = (16, 32, 4);
     let ds = toy_dataset(ranks * 8, dim, classes, 71);
-    let cfg = TrainConfig {
-        workers: ranks,
-        epochs: 2,
-        batch_per_worker: 4,
-        base_lr: 0.05,
-        lr_scaling: true,
-        warmup_epochs: 1,
-        seed: 17,
-        checkpoint: None,
-    };
-    let model = move |seed: u64| {
-        let mut rng = Rng::seed(seed);
-        Sequential::new()
-            .push(Dense::new(dim, hidden, &mut rng))
-            .push(Relu::new())
-            .push(Dense::new(hidden, classes, &mut rng))
-    };
+    let cfg = toy_cfg(ranks, 2, 4, 17);
+    let model = mlp(dim, hidden, classes);
     let bucket_bytes = 1024usize;
     let run = |fusion: FusionConfig| {
         Trainer::new(cfg.clone())
             .cost(StepCost::default())
             .fusion(fusion)
             .dispatch(ExchangeDispatch::Tuned(Arc::clone(table)))
-            .run(&ds, model, opt, SoftmaxCrossEntropy)
+            .run(&ds, model, sgd(1e-4), SoftmaxCrossEntropy)
             // lint: allow(unwrap) -- no resume snapshot is armed, so run() cannot fail
             .expect("no snapshot to validate")
             .completed()
     };
     let serial = run(FusionConfig::unfused());
     let fused = run(FusionConfig::fused(bucket_bytes));
-    let bit_equal = serial.final_params.len() == fused.final_params.len()
-        && serial
-            .final_params
-            .iter()
-            .zip(&fused.final_params)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
     TrainSection {
         ranks,
         bucket_bytes,
         hash_serialized: bits_hash(&serial.final_params),
         hash_fused: bits_hash(&fused.final_params),
-        bit_equal,
+        bit_equal: bits_equal(&serial.final_params, &fused.final_params),
     }
 }
 
@@ -246,47 +206,57 @@ fn perf_json(table: &Arc<DecisionTable>, gpu_counts: &[usize]) -> String {
 // Entry point.
 // ---------------------------------------------------------------------------
 
-/// The full tuner report. Returns `(table_text, json)`: the
-/// `msa-tune-v1` decision table and the grid JSON. Both are fully
-/// deterministic — CI runs the subcommand twice and byte-compares both
-/// files. `fast` swaps the paper grid for the smoke grid (unit tests).
-pub fn tune_report(fast: bool) -> (String, String) {
+/// The full tuner report: the `msa-tune-v1` decision table and the grid
+/// JSON, both fully deterministic, run on the paper grid. Contracts:
+/// every pick is the measured argmin, no candidate is a phantom zero,
+/// the 96- and 128-rank cells executed, tuned fused ≡ serialized, and
+/// the table round-trips through its parser.
+pub fn tune_report() -> Report {
     let _ = rayon::init_with_threads(POOL_THREADS);
-    let grid = if fast { TuneGrid::smoke() } else { TuneGrid::paper() };
-    let report = grid.run();
+    let report = TuneGrid::paper().run();
     let table = Arc::new(report.table());
     let table_text = table.to_table_string();
 
-    let train = bench_tuned_trainer(&table, if fast { 4 } else { 8 });
-    let gpu_counts: &[usize] = if fast { &[4, 8] } else { &[8, 32, 96, 128] };
+    let train = bench_tuned_trainer(&table, 8);
 
     let mut json = String::from("{\n");
     json.push_str(&grid_json(&report, &table));
     json.push_str(&trainer_json(&train));
-    json.push_str(&perf_json(&table, gpu_counts));
+    json.push_str(&perf_json(&table, &[8, 32, 96, 128]));
     json.push('}');
-    (table_text, json)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tune_report_is_deterministic_and_contract_flags_hold() {
-        let (t1, j1) = tune_report(true);
-        let (t2, j2) = tune_report(true);
-        assert_eq!(t1, t2, "decision tables differ between runs");
-        assert_eq!(j1, j2, "grid reports differ between runs");
-        assert!(j1.contains("\"all_winners_are_argmin\": true"), "{j1}");
-        assert!(j1.contains("\"zero_wire_rows\": 0,"), "{j1}");
-        assert!(!j1.contains("\"winner_is_argmin\": false"), "{j1}");
-        assert!(!j1.contains("\"msgs_total\": 0"), "{j1}");
-        assert!(
-            j1.contains("\"bit_equal_tuned_fused_vs_serialized\": true"),
-            "{j1}"
-        );
-        let parsed = DecisionTable::parse(&t1).expect("emitted table must parse");
-        assert_eq!(parsed.to_table_string(), t1);
+    let has_ranks = |r: usize| table.entries().iter().any(|e| e.ranks == r);
+    let flags = vec![
+        (
+            "all_winners_are_argmin",
+            all_winners_are_argmin(&report, &table),
+        ),
+        (
+            "every_winner_is_argmin",
+            report.cells.iter().all(|c| winner_is_argmin(c, &table)),
+        ),
+        (
+            "zero_wire_rows_is_0",
+            report.cells.iter().all(|c| zero_wire_rows(c) == 0),
+        ),
+        (
+            "no_msgs_total_0",
+            report
+                .cells
+                .iter()
+                .flat_map(|c| &c.measurements)
+                .all(|m| m.msgs_total > 0),
+        ),
+        ("max_ranks_executed_128", max_ranks_executed(&report) == 128),
+        ("table_has_ranks_96", has_ranks(96)),
+        ("table_has_ranks_128", has_ranks(128)),
+        ("bit_equal_tuned_fused_vs_serialized", train.bit_equal),
+        (
+            "table_round_trips",
+            DecisionTable::parse(&table_text).is_ok_and(|t| t.to_table_string() == table_text),
+        ),
+    ];
+    Report {
+        table: Some(table_text),
+        ..Report::deterministic(json, flags)
     }
 }
