@@ -1,13 +1,14 @@
 //! E3/E6 micro-bench: the tensor kernels every training step leans on —
-//! parallel matmul, im2col convolution, GRU steps. The matmul sweep runs
-//! every size both over the persistent pool (`pool_on`) and inside
-//! [`rayon::serial_scope`] (`pool_off`) so the scheduling overhead is
-//! separable from kernel throughput. `MSA_BENCH_FAST=1` (honoured by the
+//! parallel matmul, the im2col/col2im lowering, im2col convolution, GRU
+//! steps. The matmul sweep runs every size both over the persistent pool
+//! (`pool_on`) and inside [`rayon::serial_scope`] (`pool_off`) so the
+//! scheduling overhead is separable from kernel throughput. `MSA_BENCH_FAST=1` (honoured by the
 //! criterion shim) cuts this to a smoke run; `BENCH_pr4.json` numbers
 //! come from `experiments kernels`, not from here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nn::Layer;
+use tensor::conv::{col2im_into, im2col_into, out_dim};
 use tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use tensor::Rng;
 
@@ -56,6 +57,27 @@ fn conv_forward_backward(c: &mut Criterion) {
     group.finish();
 }
 
+/// One sample's lowering at the ResNet's stage-1 shape (16×32×32, k3 s1
+/// p1) and its stride-2 downsampling shape (16→32, k3 s2 p1).
+fn conv_lowering(c: &mut Criterion) {
+    let mut group = c.benchmark_group("conv_lowering");
+    let mut rng = Rng::seed(4);
+    let (ch, h, w, k, pad) = (16, 32, 32, 3, 1);
+    let img = rng.normal_tensor(&[ch * h * w], 1.0);
+    for (name, stride) in [("c16x32x32_k3s1p1", 1), ("c16x32x32_k3s2p1", 2)] {
+        let ohow = out_dim(h, k, stride, pad) * out_dim(w, k, stride, pad);
+        let mut cols = vec![0.0f32; ch * k * k * ohow];
+        let mut dx = vec![0.0f32; ch * h * w];
+        group.bench_function(format!("im2col_{name}"), |b| {
+            b.iter(|| im2col_into(img.data(), ch, h, w, k, k, stride, pad, pad, &mut cols));
+        });
+        group.bench_function(format!("col2im_{name}"), |b| {
+            b.iter(|| col2im_into(&cols, ch, h, w, k, k, stride, pad, pad, &mut dx));
+        });
+    }
+    group.finish();
+}
+
 fn gru_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("gru");
     group.sample_size(20);
@@ -73,5 +95,11 @@ fn gru_step(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, matmul_kernels, conv_forward_backward, gru_step);
+criterion_group!(
+    benches,
+    matmul_kernels,
+    conv_lowering,
+    conv_forward_backward,
+    gru_step
+);
 criterion_main!(benches);

@@ -27,14 +27,15 @@ use crate::fixture::{bits_hash, min_ns, POOL_THREADS};
 use crate::report::Report;
 use nn::Layer;
 use rayon::prelude::*;
-use tensor::conv::{col2im, im2col};
+use tensor::conv::reference as conv_ref;
 use tensor::matmul::{matmul, matmul_nt, matmul_tn, reference};
 use tensor::{Rng, Tensor};
 
 /// Seed-style Conv2d baseline: the exact allocation and kernel pattern
 /// the layer had before the arena rework — per-sample column/gradient
-/// `Tensor`s, a cloned weight matrix per pass, serial seed ikj kernels,
-/// batch parallelism over the pool.
+/// `Tensor`s, a cloned weight matrix per pass, the seed's scalar
+/// im2col/col2im loops, serial seed ikj kernels, batch parallelism over
+/// the pool.
 struct SeedConv {
     w: Tensor, // (F, C, K, K)
     b: Tensor,
@@ -83,7 +84,9 @@ impl SeedConv {
             .into_par_iter()
             .map(|i| {
                 let img = &input.data()[i * per_img..(i + 1) * per_img];
-                let cols = im2col(img, c, h, w, k, k, self.stride, self.pad, self.pad);
+                let mut cols = Tensor::zeros(&[c * k * k, oh * ow]);
+                let (s, p) = (self.stride, self.pad);
+                conv_ref::im2col_into(img, c, h, w, k, k, s, p, p, cols.data_mut());
                 let mut y = reference::matmul_ikj(&wmat, &cols);
                 for (ff, &bf) in bias.iter().enumerate() {
                     for v in y.row_mut(ff) {
@@ -129,7 +132,9 @@ impl SeedConv {
                 let dw = reference::matmul_nt_dot(&g, cols);
                 let db: Vec<f32> = (0..f).map(|ff| g.row(ff).iter().sum()).collect();
                 let dcols = reference::matmul_tn_ikj(&wmat, &g);
-                let dx = col2im(&dcols, c, h, w, k, k, self.stride, self.pad, self.pad);
+                let mut dx = vec![0.0f32; c * h * w];
+                let (s, p) = (self.stride, self.pad);
+                conv_ref::col2im_into(dcols.data(), c, h, w, k, k, s, p, p, &mut dx);
                 (dw, db, dx)
             })
             .collect();

@@ -92,7 +92,6 @@ impl Conv2d {
 /// Shared forward over the im2col lowering: writes per-sample columns
 /// into `cols_all` chunks and `W·cols + b` into `out` chunks, parallel
 /// over the batch (sample kernels run serially inside the batch stage).
-#[allow(clippy::too_many_arguments)]
 fn conv_forward_into(
     input: &[f32],
     w_mat: &[f32],

@@ -44,8 +44,16 @@ pub fn im2col(
 }
 
 /// [`im2col`] into a caller-owned buffer of length
-/// `(c·kh·kw) · (oh·ow)` — no allocation. `out` is fully overwritten
-/// (padding positions zeroed), so stale scratch contents are harmless.
+/// `(c·kh·kw) · (oh·ow)` — no allocation. Every element of `out` is
+/// written (image values at valid taps, `0.0` at padding), so stale
+/// scratch contents are harmless.
+///
+/// Works a tap row `(ch, ky, kx)` at a time: the valid output range on
+/// each axis is computed once (`tap_range`), padding runs are
+/// zero-filled, and each valid `oy` segment is one slice copy (stride 1)
+/// or one strided gather (stride > 1) with no per-element bounds test.
+/// Only values move, so the result is bit-identical to
+/// [`reference::im2col_into`].
 #[allow(clippy::too_many_arguments)]
 pub fn im2col_into(
     image: &[f32],
@@ -65,31 +73,45 @@ pub fn im2col_into(
     let rows = c * kh * kw;
     let cols = oh * ow;
     assert_eq!(out.len(), rows * cols, "cols buffer length mismatch");
-    out.fill(0.0);
 
-    for ch in 0..c {
+    for (row, out_row) in out.chunks_exact_mut(cols).enumerate() {
+        let (ch, ky, kx) = (row / (kh * kw), row / kw % kh, row % kw);
+        let (oy_lo, oy_hi) = tap_range(oh, ky, pad_h, h, stride);
+        let (ox_lo, ox_hi) = tap_range(ow, kx, pad_w, w, stride);
+        if oy_lo == oy_hi || ox_lo == ox_hi {
+            out_row.fill(0.0); // the tap sees only padding
+            continue;
+        }
         let img_c = &image[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = (ch * kh + ky) * kw + kx;
-                let out_row = &mut out[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * stride + ky) as isize - pad_h as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue; // zero padding
-                    }
-                    let iy = iy as usize;
-                    for ox in 0..ow {
-                        let ix = (ox * stride + kx) as isize - pad_w as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        out_row[oy * ow + ox] = img_c[iy * w + ix as usize];
-                    }
+        let ix_lo = ox_lo * stride + kx - pad_w;
+        out_row[..oy_lo * ow].fill(0.0);
+        out_row[oy_hi * ow..].fill(0.0);
+        for oy in oy_lo..oy_hi {
+            let iy = oy * stride + ky - pad_h;
+            let seg = &mut out_row[oy * ow..(oy + 1) * ow];
+            seg[..ox_lo].fill(0.0);
+            seg[ox_hi..].fill(0.0);
+            let src = &img_c[iy * w + ix_lo..(iy + 1) * w];
+            let dst = &mut seg[ox_lo..ox_hi];
+            if stride == 1 {
+                dst.copy_from_slice(&src[..dst.len()]);
+            } else {
+                for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                    *d = v;
                 }
             }
         }
     }
+}
+
+/// Valid output range `[lo, hi)` along one axis for kernel offset `k`:
+/// exactly the `o < n_out` with `0 <= o·stride + k - pad < n_in`.
+/// Empty ranges come back as `lo == hi`.
+#[inline]
+fn tap_range(n_out: usize, k: usize, pad: usize, n_in: usize, stride: usize) -> (usize, usize) {
+    let lo = pad.saturating_sub(k).div_ceil(stride);
+    let hi = (n_in + pad).saturating_sub(k).div_ceil(stride).min(n_out);
+    (lo.min(hi), hi)
 }
 
 /// Folds a `(C·KH·KW) × (OH·OW)` column-gradient matrix back into an
@@ -117,6 +139,13 @@ pub fn col2im(
 
 /// [`col2im`] into a caller-owned image buffer of length `c·h·w` — no
 /// allocation. `img` is overwritten (zeroed, then accumulated into).
+///
+/// Same tap-row walk as [`im2col_into`]: each valid `oy` segment is one
+/// elementwise `+=` over a contiguous (stride 1) or strided image row.
+/// The loop nest `ch → ky → kx → oy → ox` is the seed's, and within one
+/// tap row every pixel is hit at most once, so each pixel still receives
+/// its contributions in ascending `(ky, kx)` order: the sums are
+/// bit-identical to [`reference::col2im_into`].
 #[allow(clippy::too_many_arguments)]
 pub fn col2im_into(
     data: &[f32],
@@ -137,25 +166,26 @@ pub fn col2im_into(
     assert_eq!(img.len(), c * h * w, "image buffer length mismatch");
     img.fill(0.0);
 
-    for ch in 0..c {
+    for (row, col_row) in data.chunks_exact(ncols).enumerate() {
+        let (ch, ky, kx) = (row / (kh * kw), row / kw % kh, row % kw);
+        let (oy_lo, oy_hi) = tap_range(oh, ky, pad_h, h, stride);
+        let (ox_lo, ox_hi) = tap_range(ow, kx, pad_w, w, stride);
+        if ox_lo == ox_hi {
+            continue;
+        }
         let img_c = &mut img[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = (ch * kh + ky) * kw + kx;
-                let col_row = &data[row * ncols..(row + 1) * ncols];
-                for oy in 0..oh {
-                    let iy = (oy * stride + ky) as isize - pad_h as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    for ox in 0..ow {
-                        let ix = (ox * stride + kx) as isize - pad_w as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        img_c[iy * w + ix as usize] += col_row[oy * ow + ox];
-                    }
+        let ix_lo = ox_lo * stride + kx - pad_w;
+        for oy in oy_lo..oy_hi {
+            let iy = oy * stride + ky - pad_h;
+            let src = &col_row[oy * ow + ox_lo..oy * ow + ox_hi];
+            let dst = &mut img_c[iy * w + ix_lo..(iy + 1) * w];
+            if stride == 1 {
+                for (d, &v) in dst.iter_mut().zip(src) {
+                    *d += v;
+                }
+            } else {
+                for (d, &v) in dst.iter_mut().step_by(stride).zip(src) {
+                    *d += v;
                 }
             }
         }
@@ -195,6 +225,108 @@ pub fn maxpool(
         }
     }
     (out, arg)
+}
+
+pub mod reference {
+    //! The seed lowering loops, kept verbatim as the bit-exactness oracle
+    //! for [`super::im2col_into`] / [`super::col2im_into`] and as the
+    //! baseline the kernels bench's seed Conv2d runs. One scalar,
+    //! bounds-tested element at a time.
+
+    use super::out_dim;
+
+    /// Seed `im2col_into`: zero-fill, then copy each valid tap.
+    #[allow(clippy::too_many_arguments)]
+    pub fn im2col_into(
+        image: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad_h: usize,
+        pad_w: usize,
+        out: &mut [f32],
+    ) {
+        assert_eq!(image.len(), c * h * w, "image length mismatch");
+        let oh = out_dim(h, kh, stride, pad_h);
+        let ow = out_dim(w, kw, stride, pad_w);
+        let rows = c * kh * kw;
+        let cols = oh * ow;
+        assert_eq!(out.len(), rows * cols, "cols buffer length mismatch");
+        out.fill(0.0);
+
+        for ch in 0..c {
+            let img_c = &image[ch * h * w..(ch + 1) * h * w];
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let row = (ch * kh + ky) * kw + kx;
+                    let out_row = &mut out[row * cols..(row + 1) * cols];
+                    for oy in 0..oh {
+                        let iy = (oy * stride + ky) as isize - pad_h as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue; // zero padding
+                        }
+                        let iy = iy as usize;
+                        for ox in 0..ow {
+                            let ix = (ox * stride + kx) as isize - pad_w as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            out_row[oy * ow + ox] = img_c[iy * w + ix as usize];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Seed `col2im_into`: zero-fill, then accumulate each valid tap.
+    #[allow(clippy::too_many_arguments)]
+    pub fn col2im_into(
+        data: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad_h: usize,
+        pad_w: usize,
+        img: &mut [f32],
+    ) {
+        let oh = out_dim(h, kh, stride, pad_h);
+        let ow = out_dim(w, kw, stride, pad_w);
+        let ncols = oh * ow;
+        assert_eq!(data.len(), c * kh * kw * ncols, "cols length mismatch");
+        assert_eq!(img.len(), c * h * w, "image buffer length mismatch");
+        img.fill(0.0);
+
+        for ch in 0..c {
+            let img_c = &mut img[ch * h * w..(ch + 1) * h * w];
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let row = (ch * kh + ky) * kw + kx;
+                    let col_row = &data[row * ncols..(row + 1) * ncols];
+                    for oy in 0..oh {
+                        let iy = (oy * stride + ky) as isize - pad_h as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        let iy = iy as usize;
+                        for ox in 0..ow {
+                            let ix = (ox * stride + kx) as isize - pad_w as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            img_c[iy * w + ix as usize] += col_row[oy * ow + ox];
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -298,6 +430,84 @@ mod tests {
         let folded = col2im(&y, c, h, w, k, k, stride, pad, pad);
         let rhs: f32 = x.data().iter().zip(&folded).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+    }
+
+    /// `to_bits` equality, except that NaN matches any NaN: which NaN an
+    /// addition returns is outside the contract (DESIGN.md §10).
+    fn same_bits_nan_by_class(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Normal values salted with `-0.0`, `±∞` and NaN.
+    fn salted(r: &mut Rng, len: usize) -> Vec<f32> {
+        let mut v = r.normal_tensor(&[len], 1.0).data().to_vec();
+        let specials = [-0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 0.0];
+        for (i, x) in v.iter_mut().enumerate() {
+            if i % 7 == 3 {
+                *x = specials[(i / 7) % specials.len()];
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn row_slice_lowering_matches_seed_loops_bit_for_bit() {
+        let mut r = Rng::seed(13);
+        // (c, h, w, kh, kw, pad_h, pad_w) for square 2-D kernels over
+        // h ≠ w images, then the Conv1d lowering (h = 1, kh = 1, pad_h = 0).
+        let mut cases = Vec::new();
+        for c in [1, 3, 16] {
+            for (h, w) in [(5, 7), (2, 3), (1, 4)] {
+                for k in [1, 2, 3, 5] {
+                    for pad in [0, 1, 2] {
+                        cases.push((c, h, w, k, k, pad, pad));
+                    }
+                }
+            }
+        }
+        for c in [1, 3] {
+            for k in [1, 2, 3, 5] {
+                for pad in [0, 1, 2] {
+                    cases.push((c, 1, 9, 1, k, 0, pad));
+                }
+            }
+        }
+        let mut checked = 0;
+        for (c, h, w, kh, kw, pad_h, pad_w) in cases {
+            for stride in [1, 2, 3] {
+                if h + 2 * pad_h < kh || w + 2 * pad_w < kw {
+                    continue;
+                }
+                let ctx = format!("c={c} h={h} w={w} k={kh}x{kw} s={stride} p={pad_h},{pad_w}");
+                let oh = out_dim(h, kh, stride, pad_h);
+                let ow = out_dim(w, kw, stride, pad_w);
+                let n_cols = c * kh * kw * oh * ow;
+
+                let img = salted(&mut r, c * h * w);
+                let mut got = vec![f32::NAN; n_cols];
+                let mut want = vec![f32::NAN; n_cols];
+                im2col_into(&img, c, h, w, kh, kw, stride, pad_h, pad_w, &mut got);
+                reference::im2col_into(&img, c, h, w, kh, kw, stride, pad_h, pad_w, &mut want);
+                // im2col only moves values: NaN payloads included.
+                for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "im2col {ctx} at {i}: {a} vs {b}");
+                }
+
+                let cols = salted(&mut r, n_cols);
+                let mut got = vec![f32::NAN; c * h * w];
+                let mut want = vec![f32::NAN; c * h * w];
+                col2im_into(&cols, c, h, w, kh, kw, stride, pad_h, pad_w, &mut got);
+                reference::col2im_into(&cols, c, h, w, kh, kw, stride, pad_h, pad_w, &mut want);
+                for (i, (&a, &b)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        same_bits_nan_by_class(a, b),
+                        "col2im {ctx} at {i}: {a} vs {b}"
+                    );
+                }
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 333, "grid size");
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! * A [`Frame`] mutably borrows the arena: one live frame at a time;
 //!   slices taken from it live only as long as the frame.
 //! * [`Frame::take`] returns zero-filled slices — callers may rely on
-//!   fresh-scratch semantics (im2col padding, gemm accumulators).
+//!   fresh-scratch semantics (gemm accumulators such as conv `dcols`).
+//!   im2col does not: it writes every element, padding included.
 
 /// A reusable `f32` workspace buffer with an allocation-growth counter.
 #[derive(Debug, Default)]
