@@ -54,6 +54,17 @@ fn conv_forward_backward(c: &mut Criterion) {
     group.bench_function("bwd_8x8c16x16_pool_off", |b| {
         b.iter(|| rayon::serial_scope(|| conv.backward(&g)));
     });
+    // The ResNet's stage-1 16→16 layer at training batch 32: its columns
+    // for the whole batch (about 19 MB) would not fit in cache.
+    let x = rng.normal_tensor(&[32, 16, 32, 32], 1.0);
+    let mut conv = nn::Conv2d::new(16, 16, 3, 1, 1, &mut rng);
+    let g = rng.normal_tensor(&[32, 16, 32, 32], 1.0);
+    group.bench_function("fwd_bwd_32x16c32x32", |b| {
+        b.iter(|| {
+            let _ = conv.forward(&x, true);
+            conv.backward(&g)
+        });
+    });
     group.finish();
 }
 

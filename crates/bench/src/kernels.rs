@@ -250,9 +250,15 @@ fn bench_nt_hot((m, k, n): (usize, usize, usize), reps: usize) -> NtHotRow {
     }
 }
 
+/// Batch of the conv gate. The layer cuts a batch into at most
+/// `4 × pool width` worker groups; 19 samples leave a ragged last group
+/// at pool width 1, 2 and 4 alike (5 × 3 + 4, 3 × 6 + 1 and
+/// 2 × 9 + 1), so group boundaries cannot hide from the bit checks.
+const CONV_BATCH: usize = 19;
+
 fn bench_conv(reps: usize) -> ConvSection {
     let mut rng = Rng::seed(42);
-    let x = rng.normal_tensor(&[8, 8, 16, 16], 1.0);
+    let x = rng.normal_tensor(&[CONV_BATCH, 8, 16, 16], 1.0);
     let mut conv = nn::Conv2d::new(8, 16, 3, 1, 1, &mut rng);
     let (w0, b0) = {
         let p = conv.params();
@@ -260,16 +266,28 @@ fn bench_conv(reps: usize) -> ConvSection {
     };
     let mut seed = SeedConv::new(w0, b0, 1, 1);
 
-    let y_new = conv.forward(&x, true);
+    // Same-padded 3×3: the output keeps the input's spatial shape.
+    let g = Tensor::ones(&[CONV_BATCH, 16, 16, 16]);
+    // One step from zeroed gradients: `[y, dx, dW, db]`.
+    let step = |conv: &mut nn::Conv2d| {
+        for p in conv.params_mut() {
+            p.zero_grad();
+        }
+        let y = conv.forward(&x, true);
+        let dx = conv.backward(&g);
+        let p = conv.params();
+        [y, dx, p[0].grad.clone(), p[1].grad.clone()]
+    };
+    let new = step(&mut conv);
     let y_seed = seed.forward(&x);
-    let g = Tensor::ones(y_new.shape());
-    let dx_new = conv.backward(&g);
-    let (dx_seed, _, _) = seed.backward(&g);
-    let y_off = rayon::serial_scope(|| conv.forward(&x, true));
-    let dx_off = rayon::serial_scope(|| conv.backward(&g));
+    let (dx_seed, dw_seed, db_seed) = seed.backward(&g);
+    let db_seed = Tensor::from_vec(db_seed, &[16]);
+    let off = rayon::serial_scope(|| step(&mut conv));
 
-    let bit_equal_seed = bits_equal(&y_new, &y_seed) && bits_equal(&dx_new, &dx_seed);
-    let bit_equal_pool_off = bits_equal(&y_new, &y_off) && bits_equal(&dx_new, &dx_off);
+    let all_equal = |other: [&Tensor; 4]| new.iter().zip(other).all(|(a, b)| bits_equal(a, b));
+    let bit_equal_seed = all_equal([&y_seed, &dx_seed, &dw_seed, &db_seed]);
+    let bit_equal_pool_off = all_equal(off.each_ref());
+    let [y_new, dx_new, ..] = new;
 
     // Warm-up happened above; steady-state steps must not grow scratch.
     let grows_warm = conv.scratch_grows();

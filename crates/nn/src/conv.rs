@@ -1,21 +1,30 @@
 //! Convolution layers lowered to GEMM via im2col, parallel over the
 //! batch with rayon — the same strategy cuDNN's GEMM algorithm uses.
 //!
-//! Hot-path memory discipline: the seed allocated a fresh column
-//! `Tensor` per sample per step (plus a cloned weight matrix and
-//! per-sample gradient tensors). This version routes every workspace
-//! through layer-owned [`Arena`] scratch buffers — the im2col column
-//! cache, the per-sample `dW`/`db`/`dcols` staging and the packed panel
-//! of each sample's `dW` product — and reads weights
-//! in place (a `(F, C, KH, KW)` tensor is already the `(F, C·KH·KW)`
-//! GEMM operand, row-major). After the first step a forward performs
-//! zero heap allocation for column data, which tests assert through
-//! [`Conv2d::scratch_grows`]. The transposed weight panel used by the
-//! backward `dcols` product is packed once per backward call
-//! ([`PackedT`]) and reused across the whole batch.
+//! Hot-path memory discipline: no step builds the whole batch's column
+//! matrix. The batch is split into worker groups, at most
+//! `4 × pool width` contiguous sample ranges (the pool's own block
+//! partition, `rayon::block_len`), and each group owns one lane
+//! [`Arena`]: one sample's
+//! `(C·KH·KW) × (OH·OW)` columns plus the packed panel of its `dW`
+//! product. Forward lowers each sample into its group's lane and runs
+//! the GEMM while the columns are still in cache. The layer keeps a
+//! reused copy of its input (at 3×3 nine times smaller than the
+//! columns), and backward re-lowers each sample into the same lane
+//! before `dW`, then writes that sample's `dcols` over it. Column
+//! scratch therefore scales with the pool, not the batch; after warm-up
+//! a step performs no scratch allocation, which tests assert through
+//! [`Conv2d::scratch_grows`]. Weights are read in place (a
+//! `(F, C, KH, KW)` tensor is already the `(F, C·KH·KW)` GEMM operand,
+//! row-major); the transposed weight panel used by the backward `dcols`
+//! product is packed once per backward call ([`PackedT`]) and shared by
+//! the whole batch.
 //!
-//! Gradient accumulation over samples stays sequential and in sample
-//! order, so results are bit-identical regardless of pool size.
+//! None of this moves a bit: im2col only copies values, so the
+//! re-lowered columns are the forward's; each sample runs the same GEMM
+//! calls whichever group it lands in; and `dW`/`db` are staged per
+//! sample and folded sequentially in ascending sample order, so results
+//! are bit-identical regardless of pool size.
 
 use crate::layer::Layer;
 use crate::param::Param;
@@ -36,22 +45,45 @@ pub struct Conv2d {
     stride: usize,
     pad: usize,
     cache: Option<ConvCache>,
-    /// Column cache: `n · (C·KH·KW) · (OH·OW)` floats written by forward,
-    /// read back by backward. Reused across steps.
-    cols_arena: Arena,
-    /// Backward staging: per-sample `dW`, `db`, `dcols` and `dW`-panel
-    /// slabs.
+    /// Copy of the last forward's input, re-lowered by backward. Reused
+    /// across steps.
+    input: Vec<f32>,
+    /// One lowering lane per worker group: a sample's columns (then its
+    /// `dcols`) and the packed panel of its `dW` product.
+    lanes: Vec<Arena>,
+    /// Backward staging: per-sample `dW` and `db` slabs.
     bwd_arena: Arena,
     /// `Wᵀ` panel packed once per backward, shared by every sample.
     packed_w: PackedT,
 }
 
-/// Shape bookkeeping from the last forward (the column data itself lives
-/// in the arena, not here).
+/// Batch size and lowering of the last forward (its input lives in
+/// [`Conv2d::input`]).
 struct ConvCache {
-    in_shape: Vec<usize>,
-    oh: usize,
-    ow: usize,
+    n: usize,
+    dims: ForwardDims,
+}
+
+#[derive(Clone, Copy)]
+struct ForwardDims {
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    pad_h: usize,
+    pad_w: usize,
+    f: usize,
+    ohow: usize,
+}
+
+impl ForwardDims {
+    /// Floats in one lane: `(a sample's columns, its `dW` panel)`.
+    fn lane_lens(&self) -> (usize, usize) {
+        let ckk = self.c * self.kh * self.kw;
+        (ckk * self.ohow, nt_scratch_len(self.f, self.ohow, ckk))
+    }
 }
 
 impl Conv2d {
@@ -74,148 +106,187 @@ impl Conv2d {
             stride,
             pad,
             cache: None,
-            cols_arena: Arena::new(),
+            input: Vec::new(),
+            lanes: Vec::new(),
             bwd_arena: Arena::new(),
             packed_w: PackedT::new(),
         }
     }
 
-    /// Scratch-growth counters `(forward cols, backward staging)`: each
-    /// arena grows on warm-up and must then stay flat across steps of
-    /// identical shape — the "no per-step allocation" assertion used by
-    /// tests and benches.
+    /// Scratch-growth counters `(lowering lanes, backward staging)`:
+    /// each grows on warm-up and must then stay flat across steps of the
+    /// same or a smaller batch — the "no per-step allocation" assertion
+    /// used by tests and benches.
     pub fn scratch_grows(&self) -> (u64, u64) {
-        (self.cols_arena.grows(), self.bwd_arena.grows())
+        (
+            self.lanes.iter().map(Arena::grows).sum(),
+            self.bwd_arena.grows(),
+        )
     }
-}
 
-/// Shared forward over the im2col lowering: writes per-sample columns
-/// into `cols_all` chunks and `W·cols + b` into `out` chunks, parallel
-/// over the batch (sample kernels run serially inside the batch stage).
-fn conv_forward_into(
-    input: &[f32],
-    w_mat: &[f32],
-    bias: &[f32],
-    dims: ForwardDims,
-    cols_all: &mut [f32],
-    out: &mut [f32],
-) {
-    let ForwardDims {
-        c,
-        h,
-        w,
-        kh,
-        kw,
-        stride,
-        pad_h,
-        pad_w,
-        f,
-        ohow,
-    } = dims;
-    let per_img = c * h * w;
-    let ckk = c * kh * kw;
-    out.par_chunks_mut(f * ohow)
-        .zip(cols_all.par_chunks_mut(ckk * ohow))
-        .enumerate()
-        .for_each(|(i, (y, cols))| {
-            let img = &input[i * per_img..(i + 1) * per_img];
-            im2col_into(img, c, h, w, kh, kw, stride, pad_h, pad_w, cols);
-            gemm_nn_into(f, ckk, ohow, w_mat, cols, y, Blocking::default());
-            for (ff, &bf) in bias.iter().enumerate() {
-                for v in &mut y[ff * ohow..(ff + 1) * ohow] {
-                    *v += bf;
+    fn dims(&self, c: usize, h: usize, w: usize) -> ForwardDims {
+        let oh = out_dim(h, self.kernel, self.stride, self.pad);
+        let ow = out_dim(w, self.kernel, self.stride, self.pad);
+        ForwardDims {
+            c,
+            h,
+            w,
+            kh: self.kernel,
+            kw: self.kernel,
+            stride: self.stride,
+            pad_h: self.pad,
+            pad_w: self.pad,
+            f: self.out_channels,
+            ohow: oh * ow,
+        }
+    }
+
+    /// Batch size and lowering of the last forward.
+    fn cached(&self) -> (usize, ForwardDims) {
+        // lint: allow(unwrap) -- layer API contract: backward requires a prior forward
+        let cache = self.cache.as_ref().expect("backward before forward");
+        (cache.n, cache.dims)
+    }
+
+    /// The first `groups` lanes, adding empty ones on warm-up.
+    fn group_lanes(lanes: &mut Vec<Arena>, groups: usize) -> &mut [Arena] {
+        if lanes.len() < groups {
+            lanes.resize_with(groups, Arena::new);
+        }
+        &mut lanes[..groups]
+    }
+
+    /// Forward shared by [`Conv2d`] and [`Conv1d`]: keeps the input for
+    /// backward and writes `W·cols + b` for `n` samples, one worker
+    /// group per lane, each sample lowered just before its GEMM.
+    fn forward_lowered(&mut self, input: &[f32], n: usize, dims: ForwardDims) -> Vec<f32> {
+        let ForwardDims {
+            c,
+            h,
+            w,
+            kh,
+            kw,
+            stride,
+            pad_h,
+            pad_w,
+            f,
+            ohow,
+        } = dims;
+        let per_img = c * h * w;
+        let ckk = c * kh * kw;
+        let (cols_len, nt_len) = dims.lane_lens();
+        let per_group = rayon::block_len(n);
+        let lanes = Conv2d::group_lanes(&mut self.lanes, n.div_ceil(per_group));
+        let (w_mat, bias) = (self.w.value.data(), self.b.value.data());
+        // `resize` writes only the growth; every kept float is copied below.
+        self.input.resize(n * per_img, 0.0);
+
+        let mut out = vec![0.0f32; n * f * ohow];
+        out.par_chunks_mut(per_group * f * ohow)
+            .zip(input.par_chunks(per_group * per_img))
+            .zip(self.input.par_chunks_mut(per_group * per_img))
+            .zip(lanes.par_iter_mut())
+            .for_each(|(((ys, xs), kept), lane)| {
+                kept.copy_from_slice(xs);
+                let mut frame = lane.frame(cols_len + nt_len);
+                let cols = frame.take(cols_len);
+                for (y, img) in ys.chunks_exact_mut(f * ohow).zip(xs.chunks_exact(per_img)) {
+                    im2col_into(img, c, h, w, kh, kw, stride, pad_h, pad_w, cols);
+                    gemm_nn_into(f, ckk, ohow, w_mat, cols, y, Blocking::default());
+                    for (ff, &bf) in bias.iter().enumerate() {
+                        for v in &mut y[ff * ohow..(ff + 1) * ohow] {
+                            *v += bf;
+                        }
+                    }
                 }
-            }
-        });
-}
-
-#[derive(Clone, Copy)]
-struct ForwardDims {
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad_h: usize,
-    pad_w: usize,
-    f: usize,
-    ohow: usize,
-}
-
-/// Shared backward: per-sample `dW = g·colsᵀ`, `db`, `dcols = Wᵀ·g` and
-/// `dx = col2im(dcols)` staged into disjoint scratch chunks (the `dW`
-/// product's packed panel included) in parallel,
-/// then folded into the parameter gradients sequentially in sample order
-/// (bit-stable under any pool size).
-#[allow(clippy::too_many_arguments)]
-fn conv_backward(
-    grad_out: &[f32],
-    cols_all: &[f32],
-    packed_w: &PackedT,
-    dims: ForwardDims,
-    n: usize,
-    bwd: &mut Arena,
-    w_grad: &mut [f32],
-    b_grad: &mut [f32],
-) -> Vec<f32> {
-    let ForwardDims {
-        c,
-        h,
-        w,
-        kh,
-        kw,
-        stride,
-        pad_h,
-        pad_w,
-        f,
-        ohow,
-    } = dims;
-    let ckk = c * kh * kw;
-    let per_img = c * h * w;
-    let per_g = f * ohow;
-
-    let nt_len = nt_scratch_len(f, ohow, ckk);
-    let mut dx_all = vec![0.0f32; n * per_img];
-    let mut frame = bwd.frame(n * (f * ckk + f + ckk * ohow + nt_len));
-    let dw_all = frame.take(n * f * ckk);
-    let db_all = frame.take(n * f);
-    let dcols_all = frame.take(n * ckk * ohow);
-    let nt_all = frame.take(n * nt_len);
-
-    dx_all
-        .par_chunks_mut(per_img)
-        .zip(dw_all.par_chunks_mut(f * ckk))
-        .zip(db_all.par_chunks_mut(f))
-        .zip(dcols_all.par_chunks_mut(ckk * ohow))
-        .zip(nt_all.par_chunks_mut(nt_len))
-        .enumerate()
-        .for_each(|(i, ((((dx, dw), db), dcols), nt))| {
-            let g = &grad_out[i * per_g..(i + 1) * per_g];
-            let cols = &cols_all[i * ckk * ohow..(i + 1) * ckk * ohow];
-            // dW = g (F×OHOW) · colsᵀ (CKK×OHOW)ᵀ, packed panel in `nt`.
-            gemm_nt_with_scratch(f, ohow, ckk, g, cols, dw, nt);
-            for (ff, d) in db.iter_mut().enumerate() {
-                *d = g[ff * ohow..(ff + 1) * ohow].iter().sum();
-            }
-            // dcols = Wᵀ (CKK×F) · g (F×OHOW); dcols is frame-zeroed.
-            packed_w.gemm_into(g, ohow, dcols, Blocking::default());
-            col2im_into(dcols, c, h, w, kh, kw, stride, pad_h, pad_w, dx);
-        });
-
-    // Deterministic accumulation: ascending sample order, elementwise —
-    // the same chain as the seed's sequential per-sample zip_inplace.
-    for i in 0..n {
-        let dw = &dw_all[i * f * ckk..(i + 1) * f * ckk];
-        for (acc, d) in w_grad.iter_mut().zip(dw) {
-            *acc += d;
-        }
-        let db = &db_all[i * f..(i + 1) * f];
-        for (acc, d) in b_grad.iter_mut().zip(db) {
-            *acc += d;
-        }
+            });
+        self.cache = Some(ConvCache { n, dims });
+        out
     }
-    dx_all
+
+    /// Backward shared by [`Conv2d`] and [`Conv1d`]: per sample, re-lower
+    /// the kept input into the group's lane, then `dW = g·colsᵀ`, `db`,
+    /// `dcols = Wᵀ·g` over the spent columns and `dx = col2im(dcols)`.
+    /// `dW`/`db` are staged per sample and folded into the parameter
+    /// gradients sequentially in sample order (bit-stable under any pool
+    /// size).
+    fn backward_lowered(&mut self, grad_out: &[f32], n: usize, dims: ForwardDims) -> Vec<f32> {
+        let ForwardDims {
+            c,
+            h,
+            w,
+            kh,
+            kw,
+            stride,
+            pad_h,
+            pad_w,
+            f,
+            ohow,
+        } = dims;
+        let per_img = c * h * w;
+        let ckk = c * kh * kw;
+        let per_g = f * ohow;
+        assert_eq!(grad_out.len(), n * per_g, "grad_out length mismatch");
+        let (cols_len, nt_len) = dims.lane_lens();
+        let per_group = rayon::block_len(n);
+        let lanes = Conv2d::group_lanes(&mut self.lanes, n.div_ceil(per_group));
+        // Pack Wᵀ once for the whole batch. The weight tensor is the
+        // (F, CKK) operand in place; tn packing wants (k=F, m=CKK)ᵀ,
+        // i.e. the (CKK, F) layout, which is exactly W viewed (F, CKK)
+        // transposed — PackedT materialises that.
+        self.packed_w.pack_from(f, ckk, self.w.value.data());
+        let packed_w = &self.packed_w;
+
+        let mut dx_all = vec![0.0f32; n * per_img];
+        let mut frame = self.bwd_arena.frame(n * (f * ckk + f));
+        let dw_all = frame.take(n * f * ckk);
+        let db_all = frame.take(n * f);
+
+        dx_all
+            .par_chunks_mut(per_group * per_img)
+            .zip(dw_all.par_chunks_mut(per_group * f * ckk))
+            .zip(db_all.par_chunks_mut(per_group * f))
+            .zip(grad_out.par_chunks(per_group * per_g))
+            .zip(self.input.par_chunks(per_group * per_img))
+            .zip(lanes.par_iter_mut())
+            .for_each(|(((((dxs, dws), dbs), gs), xs), lane)| {
+                let mut frame = lane.frame(cols_len + nt_len);
+                let cols = frame.take(cols_len);
+                let nt = frame.take(nt_len);
+                let samples = dxs
+                    .chunks_exact_mut(per_img)
+                    .zip(dws.chunks_exact_mut(f * ckk))
+                    .zip(dbs.chunks_exact_mut(f))
+                    .zip(gs.chunks_exact(per_g))
+                    .zip(xs.chunks_exact(per_img));
+                for ((((dx, dw), db), g), img) in samples {
+                    // im2col only copies: these are the forward's columns.
+                    im2col_into(img, c, h, w, kh, kw, stride, pad_h, pad_w, cols);
+                    // dW = g (F×OHOW) · colsᵀ (CKK×OHOW)ᵀ, packed panel in `nt`.
+                    gemm_nt_with_scratch(f, ohow, ckk, g, cols, dw, nt);
+                    for (ff, d) in db.iter_mut().enumerate() {
+                        *d = g[ff * ohow..(ff + 1) * ohow].iter().sum();
+                    }
+                    // dcols = Wᵀ (CKK×F) · g (F×OHOW), accumulated from +0.0.
+                    cols.fill(0.0);
+                    packed_w.gemm_into(g, ohow, cols, Blocking::default());
+                    col2im_into(cols, c, h, w, kh, kw, stride, pad_h, pad_w, dx);
+                }
+            });
+
+        // Deterministic accumulation: ascending sample order, elementwise —
+        // the same chain as the seed's sequential per-sample zip_inplace.
+        let (w_grad, b_grad) = (self.w.grad.data_mut(), self.b.grad.data_mut());
+        for (dw, db) in dw_all.chunks_exact(f * ckk).zip(db_all.chunks_exact(f)) {
+            for (acc, d) in w_grad.iter_mut().zip(dw) {
+                *acc += d;
+            }
+            for (acc, d) in b_grad.iter_mut().zip(db) {
+                *acc += d;
+            }
+        }
+        dx_all
+    }
 }
 
 impl Layer for Conv2d {
@@ -230,83 +301,18 @@ impl Layer for Conv2d {
         assert_eq!(c, self.in_channels, "channel mismatch");
         let oh = out_dim(h, self.kernel, self.stride, self.pad);
         let ow = out_dim(w, self.kernel, self.stride, self.pad);
-        let dims = ForwardDims {
-            c,
-            h,
-            w,
-            kh: self.kernel,
-            kw: self.kernel,
-            stride: self.stride,
-            pad_h: self.pad,
-            pad_w: self.pad,
-            f: self.out_channels,
-            ohow: oh * ow,
-        };
-        let mut out = vec![0.0f32; n * self.out_channels * oh * ow];
-        {
-            let cols_len = n * c * self.kernel * self.kernel * oh * ow;
-            let mut frame = self.cols_arena.frame(cols_len);
-            let cols_all = frame.take(cols_len);
-            conv_forward_into(
-                input.data(),
-                self.w.value.data(),
-                self.b.value.data(),
-                dims,
-                cols_all,
-                &mut out,
-            );
-        }
-        self.cache = Some(ConvCache {
-            in_shape: input.shape().to_vec(),
-            oh,
-            ow,
-        });
+        let out = self.forward_lowered(input.data(), n, self.dims(c, h, w));
         Tensor::from_vec(out, &[n, self.out_channels, oh, ow])
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // lint: allow(unwrap) -- layer API contract: backward requires a prior forward
-        let cache = self.cache.as_ref().expect("backward before forward");
-        let (n, c, h, w) = (
-            cache.in_shape[0],
-            cache.in_shape[1],
-            cache.in_shape[2],
-            cache.in_shape[3],
-        );
-        let (oh, ow) = (cache.oh, cache.ow);
+        let (n, dims) = self.cached();
+        let ForwardDims { c, h, w, .. } = dims;
+        let oh = out_dim(h, self.kernel, self.stride, self.pad);
+        let ow = out_dim(w, self.kernel, self.stride, self.pad);
         assert_eq!(grad_out.shape(), &[n, self.out_channels, oh, ow]);
-        let dims = ForwardDims {
-            c,
-            h,
-            w,
-            kh: self.kernel,
-            kw: self.kernel,
-            stride: self.stride,
-            pad_h: self.pad,
-            pad_w: self.pad,
-            f: self.out_channels,
-            ohow: oh * ow,
-        };
-        let ckk = c * self.kernel * self.kernel;
-        // Pack Wᵀ once for the whole batch. The weight tensor is the
-        // (F, CKK) operand in place; tn packing wants (k=F, m=CKK)ᵀ,
-        // i.e. the (CKK, F) layout, which is exactly W viewed (F, CKK)
-        // transposed — PackedT materialises that.
-        self.packed_w.pack_from(self.out_channels, ckk, self.w.value.data());
-        let in_shape = cache.in_shape.clone();
-
-        let cols_all = self.cols_arena.filled(n * ckk * oh * ow);
-        let dx_all = conv_backward(
-            grad_out.data(),
-            cols_all,
-            &self.packed_w,
-            dims,
-            n,
-            &mut self.bwd_arena,
-            self.w.grad.data_mut(),
-            self.b.grad.data_mut(),
-        );
-        Tensor::from_vec(dx_all, &in_shape)
+        let dx_all = self.backward_lowered(grad_out.data(), n, dims);
+        Tensor::from_vec(dx_all, &[n, c, h, w])
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -368,51 +374,18 @@ impl Layer for Conv1d {
         assert_eq!(input.ndim(), 3, "Conv1d expects (N, C, L)");
         let (n, c, l) = (input.shape()[0], input.shape()[1], input.shape()[2]);
         let dims = self.dims(c, l);
-        let (f, ol) = (dims.f, dims.ohow);
-        let mut out = vec![0.0f32; n * f * ol];
-        {
-            let cols_len = n * c * self.inner.kernel * ol;
-            let mut frame = self.inner.cols_arena.frame(cols_len);
-            let cols_all = frame.take(cols_len);
-            conv_forward_into(
-                input.data(),
-                self.inner.w.value.data(),
-                self.inner.b.value.data(),
-                dims,
-                cols_all,
-                &mut out,
-            );
-        }
-        self.inner.cache = Some(ConvCache {
-            in_shape: vec![n, c, 1, l],
-            oh: 1,
-            ow: ol,
-        });
-        Tensor::from_vec(out, &[n, f, ol])
+        let out = self.inner.forward_lowered(input.data(), n, dims);
+        Tensor::from_vec(out, &[n, dims.f, dims.ohow])
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         assert_eq!(grad_out.ndim(), 3);
-        // lint: allow(unwrap) -- layer API contract: backward requires a prior forward
-        let cache = self.inner.cache.as_ref().expect("backward before forward");
-        let (n, c, l) = (cache.in_shape[0], cache.in_shape[1], cache.in_shape[3]);
-        let dims = self.dims(c, l);
-        let (f, ol) = (dims.f, dims.ohow);
-        assert_eq!(grad_out.shape(), &[n, f, ol]);
-        let ck = c * self.inner.kernel;
-        self.inner.packed_w.pack_from(f, ck, self.inner.w.value.data());
-
-        let cols_all = self.inner.cols_arena.filled(n * ck * ol);
-        let dx_all = conv_backward(
-            grad_out.data(),
-            cols_all,
-            &self.inner.packed_w,
-            dims,
-            n,
-            &mut self.inner.bwd_arena,
-            self.inner.w.grad.data_mut(),
-            self.inner.b.grad.data_mut(),
-        );
+        let (n, dims) = self.inner.cached();
+        let ForwardDims {
+            c, w: l, f, ohow, ..
+        } = dims;
+        assert_eq!(grad_out.shape(), &[n, f, ohow]);
+        let dx_all = self.inner.backward_lowered(grad_out.data(), n, dims);
         Tensor::from_vec(dx_all, &[n, c, l])
     }
 
@@ -500,26 +473,134 @@ mod tests {
         assert_eq!(gx.data(), &[2.0, 3.0, 3.0, 2.0]);
     }
 
+    /// `(name, layer, one sample's input shape)` for every lowering the
+    /// layers share: Conv2d at stride 1 and 2, and Conv1d.
+    fn conv_cases(rng: &mut Rng) -> Vec<(&'static str, Box<dyn Layer>, Vec<usize>)> {
+        vec![
+            (
+                "conv2d_s1",
+                Box::new(Conv2d::new(3, 4, 3, 1, 1, rng)),
+                vec![3, 6, 5],
+            ),
+            (
+                "conv2d_s2",
+                Box::new(Conv2d::new(3, 4, 3, 2, 1, rng)),
+                vec![3, 7, 6],
+            ),
+            (
+                "conv1d",
+                Box::new(Conv1d::new(3, 4, 3, 1, 1, rng)),
+                vec![3, 9],
+            ),
+        ]
+    }
+
+    /// A batch of `n` samples of `shape` and an upstream gradient for the
+    /// layer's output, with ReLU-style exact zeros mixed in.
+    fn batch(layer: &mut dyn Layer, rng: &mut Rng, n: usize, shape: &[usize]) -> (Tensor, Tensor) {
+        let x = rng.normal_tensor(&[&[n], shape].concat(), 1.0);
+        let y = layer.forward(&x, true);
+        let mut g = rng.normal_tensor(y.shape(), 1.0);
+        g.map_inplace(|v| if v < -0.5 { 0.0 } else { v });
+        (x, g)
+    }
+
+    /// One forward + backward from zeroed gradients: `[y, dx, dW, db]`.
+    fn step(layer: &mut dyn Layer, x: &Tensor, g: &Tensor) -> [Vec<f32>; 4] {
+        for p in layer.params_mut() {
+            p.zero_grad();
+        }
+        let y = layer.forward(x, true);
+        let dx = layer.backward(g);
+        let p = layer.params();
+        [
+            y.data().to_vec(),
+            dx.data().to_vec(),
+            p[0].grad.data().to_vec(),
+            p[1].grad.data().to_vec(),
+        ]
+    }
+
+    fn assert_same_bits(got: &[f32], want: &[f32], ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}: length");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{ctx} at {i}: {a} vs {b}");
+        }
+    }
+
+    const OUTPUTS: [&str; 4] = ["y", "dx", "dW", "db"];
+
+    #[test]
+    fn conv_bits_match_pool_on_and_off_at_ragged_batches() {
+        let mut rng = Rng::seed(8);
+        for (name, mut layer, shape) in conv_cases(&mut rng) {
+            for n in [1, 3, 9, 33] {
+                let (x, g) = batch(layer.as_mut(), &mut rng, n, &shape);
+                let on = step(layer.as_mut(), &x, &g);
+                let off = rayon::serial_scope(|| step(layer.as_mut(), &x, &g));
+                for ((a, b), what) in on.iter().zip(&off).zip(OUTPUTS) {
+                    assert_same_bits(a, b, &format!("{name} n={n} {what} pool off"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conv_batch_equals_each_sample_run_alone() {
+        // Forward and backward: each sample's y and dx slices equal that
+        // sample run alone, and dW/db equal the per-sample gradients
+        // folded from +0.0 in ascending sample order — whichever worker
+        // group a sample lands in.
+        let mut rng = Rng::seed(9);
+        for (name, mut layer, shape) in conv_cases(&mut rng) {
+            let per_x: usize = shape.iter().product();
+            for n in [1, 3, 9, 33] {
+                let (x, g) = batch(layer.as_mut(), &mut rng, n, &shape);
+                let [y, dx, dw, db] = step(layer.as_mut(), &x, &g);
+                let per_y = y.len() / n;
+                let mut dw_fold = vec![0.0f32; dw.len()];
+                let mut db_fold = vec![0.0f32; db.len()];
+                for i in 0..n {
+                    let xi = &x.data()[i * per_x..(i + 1) * per_x];
+                    let gi = &g.data()[i * per_y..(i + 1) * per_y];
+                    let xi = Tensor::from_vec(xi.to_vec(), &[&[1], shape.as_slice()].concat());
+                    let gi = Tensor::from_vec(gi.to_vec(), &[&[1], &g.shape()[1..]].concat());
+                    let [yi, dxi, dwi, dbi] = step(layer.as_mut(), &xi, &gi);
+                    let ctx = format!("{name} n={n} sample {i}");
+                    assert_same_bits(&y[i * per_y..(i + 1) * per_y], &yi, &format!("{ctx} y"));
+                    assert_same_bits(&dx[i * per_x..(i + 1) * per_x], &dxi, &format!("{ctx} dx"));
+                    for (acc, d) in dw_fold.iter_mut().zip(&dwi) {
+                        *acc += d;
+                    }
+                    for (acc, d) in db_fold.iter_mut().zip(&dbi) {
+                        *acc += d;
+                    }
+                }
+                assert_same_bits(&dw, &dw_fold, &format!("{name} n={n} dW"));
+                assert_same_bits(&db, &db_fold, &format!("{name} n={n} db"));
+            }
+        }
+    }
+
     #[test]
     fn conv2d_scratch_stops_growing_after_warmup() {
         let mut rng = Rng::seed(6);
         let mut conv = Conv2d::new(2, 4, 3, 1, 1, &mut rng);
-        let x = rng.normal_tensor(&[3, 2, 6, 6], 1.0);
-        let g = Tensor::ones(&[3, 4, 6, 6]);
-        // Warm-up step may grow both arenas.
-        let _ = conv.forward(&x, true);
-        let _ = conv.backward(&g);
+        let (x, g) = batch(&mut conv, &mut rng, 33, &[2, 6, 6]);
+        // The warm-up step may grow both counters.
+        let _ = step(&mut conv, &x, &g);
         let warm = conv.scratch_grows();
-        // Steady-state steps must not allocate column/staging scratch.
-        for _ in 0..5 {
-            let _ = conv.forward(&x, true);
-            let _ = conv.backward(&g);
+        // Steady-state steps must not allocate column/staging scratch,
+        // nor may a smaller batch after a larger one.
+        for _ in 0..3 {
+            let _ = step(&mut conv, &x, &g);
         }
-        assert_eq!(
-            conv.scratch_grows(),
-            warm,
-            "conv scratch arenas grew after warm-up (per-step allocation)"
-        );
+        assert_eq!(conv.scratch_grows(), warm, "scratch grew after warm-up");
+        for n in [9, 3, 1] {
+            let (x, g) = batch(&mut conv, &mut rng, n, &[2, 6, 6]);
+            let _ = step(&mut conv, &x, &g);
+            assert_eq!(conv.scratch_grows(), warm, "n={n} after n=33 grew scratch");
+        }
     }
 
     #[test]
@@ -551,5 +632,24 @@ mod tests {
         for ((acc, x), y) in conv.w.grad.data().iter().zip(&wa).zip(&wb) {
             assert_eq!(acc.to_bits(), (x + y).to_bits());
         }
+    }
+
+    #[test]
+    fn column_scratch_follows_the_pool_not_the_batch() {
+        // At 4× the pool width every worker group is in use; a batch 4×
+        // larger, training or inference, must reuse the same lanes.
+        let mut rng = Rng::seed(11);
+        let mut conv = Conv2d::new(2, 4, 3, 1, 1, &mut rng);
+        let lanes =
+            |conv: &Conv2d| -> Vec<usize> { conv.lanes.iter().map(Arena::capacity).collect() };
+        let n = 4 * rayon::current_num_threads();
+        let (x, g) = batch(&mut conv, &mut rng, n, &[2, 6, 6]);
+        let _ = step(&mut conv, &x, &g);
+        let (small, grows) = (lanes(&conv), conv.scratch_grows().0);
+        let (x, g) = batch(&mut conv, &mut rng, 4 * n, &[2, 6, 6]);
+        let _ = conv.forward(&x, false);
+        let _ = step(&mut conv, &x, &g);
+        assert_eq!(lanes(&conv), small, "column lanes at n={} vs n={n}", 4 * n);
+        assert_eq!(conv.scratch_grows().0, grows);
     }
 }

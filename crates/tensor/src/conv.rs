@@ -4,9 +4,8 @@
 //! cuDNN's GEMM algorithm does it: the input patches are unrolled into a
 //! `(C·KH·KW) × (OH·OW)` column matrix, so the convolution becomes
 //! `weights(F, C·KH·KW) · cols`, and the backward pass w.r.t. the input
-//! is the transposed product folded back with [`col2im`].
-
-use crate::Tensor;
+//! is the transposed product folded back with [`col2im_into`]. Callers
+//! own every buffer (see [`crate::scratch::Arena`]).
 
 /// Output spatial size for one axis.
 #[inline]
@@ -19,32 +18,9 @@ pub fn out_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> usize 
     (input + 2 * pad - kernel) / stride + 1
 }
 
-/// Unrolls one `(C, H, W)` image into a `(C·KH·KW) × (OH·OW)` column
-/// matrix allocated here. Hot paths should prefer [`im2col_into`] with a
-/// reusable scratch buffer (see [`crate::scratch::Arena`]).
-#[allow(clippy::too_many_arguments)]
-pub fn im2col(
-    image: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad_h: usize,
-    pad_w: usize,
-) -> Tensor {
-    let oh = out_dim(h, kh, stride, pad_h);
-    let ow = out_dim(w, kw, stride, pad_w);
-    let rows = c * kh * kw;
-    let cols = oh * ow;
-    let mut out = vec![0.0f32; rows * cols];
-    im2col_into(image, c, h, w, kh, kw, stride, pad_h, pad_w, &mut out);
-    Tensor::from_vec(out, &[rows, cols])
-}
-
-/// [`im2col`] into a caller-owned buffer of length
-/// `(c·kh·kw) · (oh·ow)` — no allocation. Every element of `out` is
+/// Unrolls one `(C, H, W)` image into a caller-owned `(C·KH·KW) ×
+/// (OH·OW)` column matrix of length `(c·kh·kw) · (oh·ow)` — no
+/// allocation. Every element of `out` is
 /// written (image values at valid taps, `0.0` at padding), so stale
 /// scratch contents are harmless.
 ///
@@ -114,31 +90,10 @@ fn tap_range(n_out: usize, k: usize, pad: usize, n_in: usize, stride: usize) -> 
     (lo.min(hi), hi)
 }
 
-/// Folds a `(C·KH·KW) × (OH·OW)` column-gradient matrix back into an
-/// image gradient of length `c*h*w` (accumulating overlapping patches) —
-/// the adjoint of [`im2col`].
-#[allow(clippy::too_many_arguments)]
-pub fn col2im(
-    cols: &Tensor,
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad_h: usize,
-    pad_w: usize,
-) -> Vec<f32> {
-    let oh = out_dim(h, kh, stride, pad_h);
-    let ow = out_dim(w, kw, stride, pad_w);
-    assert_eq!(cols.shape(), &[c * kh * kw, oh * ow], "cols shape mismatch");
-    let mut img = vec![0.0f32; c * h * w];
-    col2im_into(cols.data(), c, h, w, kh, kw, stride, pad_h, pad_w, &mut img);
-    img
-}
-
-/// [`col2im`] into a caller-owned image buffer of length `c·h·w` — no
-/// allocation. `img` is overwritten (zeroed, then accumulated into).
+/// Folds a `(C·KH·KW) × (OH·OW)` column-gradient matrix back into a
+/// caller-owned image gradient of length `c·h·w` (accumulating
+/// overlapping patches) — the adjoint of [`im2col_into`]. No
+/// allocation: `img` is overwritten (zeroed, then accumulated into).
 ///
 /// Same tap-row walk as [`im2col_into`]: each valid `oy` segment is one
 /// elementwise `+=` over a contiguous (stride 1) or strided image row.
@@ -333,7 +288,23 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::matmul::matmul;
-    use crate::Rng;
+    use crate::{Rng, Tensor};
+
+    /// Square-kernel [`im2col_into`] into a fresh `(C·K·K, OH·OW)` tensor.
+    fn lowered(
+        image: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        k: usize,
+        stride: usize,
+        pad: usize,
+    ) -> Tensor {
+        let (oh, ow) = (out_dim(h, k, stride, pad), out_dim(w, k, stride, pad));
+        let mut cols = vec![f32::NAN; c * k * k * oh * ow];
+        im2col_into(image, c, h, w, k, k, stride, pad, pad, &mut cols);
+        Tensor::from_vec(cols, &[c * k * k, oh * ow])
+    }
 
     /// Direct (definition-level) convolution for cross-checking.
     #[allow(clippy::too_many_arguments)]
@@ -404,7 +375,7 @@ mod tests {
         ] {
             let img = r.normal_tensor(&[c * h * w], 1.0);
             let weight = r.normal_tensor(&[f, c, k, k], 0.5);
-            let cols = im2col(img.data(), c, h, w, k, k, stride, pad, pad);
+            let cols = lowered(img.data(), c, h, w, k, stride, pad);
             let wmat = weight.clone().reshape(&[f, c * k * k]);
             let out = matmul(&wmat, &cols);
             let direct = conv_direct(img.data(), c, h, w, &weight, stride, pad);
@@ -424,10 +395,11 @@ mod tests {
         let mut r = Rng::seed(12);
         let (c, h, w, k, stride, pad) = (2, 6, 5, 3, 2, 1);
         let x = r.normal_tensor(&[c * h * w], 1.0);
-        let cols = im2col(x.data(), c, h, w, k, k, stride, pad, pad);
+        let cols = lowered(x.data(), c, h, w, k, stride, pad);
         let y = r.normal_tensor(cols.shape(), 1.0);
         let lhs: f32 = cols.data().iter().zip(y.data()).map(|(a, b)| a * b).sum();
-        let folded = col2im(&y, c, h, w, k, k, stride, pad, pad);
+        let mut folded = vec![f32::NAN; c * h * w];
+        col2im_into(y.data(), c, h, w, k, k, stride, pad, pad, &mut folded);
         let rhs: f32 = x.data().iter().zip(&folded).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
@@ -528,7 +500,7 @@ mod tests {
     #[test]
     fn padding_zero_regions_stay_zero_in_cols() {
         let img = vec![1.0; 4]; // 1×2×2
-        let cols = im2col(&img, 1, 2, 2, 3, 3, 1, 1, 1);
+        let cols = lowered(&img, 1, 2, 2, 3, 1, 1);
         // center tap row (ky=1,kx=1) has all ones, corner taps have zeros
         assert_eq!(cols.shape(), &[9, 4]);
         let center = cols.row(4);

@@ -446,17 +446,9 @@ fn nt_block(x_blk: &[f32], panel: &[f32], k: usize, lanes: usize, c_blk: &mut [f
     }
 }
 
-/// Rows per parallel block: oversubscribe 4× the pool width so uneven
-/// sparsity self-balances through the atomic index.
-fn rows_per_block(m: usize) -> usize {
-    let nblocks = (rayon::current_num_threads() * 4).clamp(1, m);
-    m.div_ceil(nblocks)
-}
-
 /// Column-block width for the `m == 1` split.
 fn cols_per_block(n: usize) -> usize {
-    let nblocks = (rayon::current_num_threads() * 4).clamp(1, n);
-    n.div_ceil(nblocks).max(16).min(n)
+    rayon::block_len(n).max(16).min(n)
 }
 
 // ---------------------------------------------------------------------------
@@ -500,7 +492,9 @@ pub fn gemm_nn_into(
         return;
     }
     if m * n >= PAR_THRESHOLD {
-        let rb = rows_per_block(m);
+        // The pool's own partition (4× its width): uneven sparsity
+        // self-balances through the atomic index.
+        let rb = rayon::block_len(m);
         out.par_chunks_mut(rb * n)
             .zip(a.par_chunks(rb * k))
             .for_each(|(oc, ac)| block_nn(ac, b, oc, k, n, bl));
@@ -585,7 +579,7 @@ pub fn gemm_nt_with_scratch(
 /// packed panel of `Y`, split over the pool in row blocks of whole tiles.
 fn nt_par(x: &[f32], panel: &[f32], rows: usize, k: usize, lanes: usize, c: &mut [f32]) {
     if rows * lanes >= PAR_THRESHOLD {
-        let rb = rows_per_block(rows).next_multiple_of(NT_R);
+        let rb = rayon::block_len(rows).next_multiple_of(NT_R);
         c.par_chunks_mut(rb * lanes)
             .zip(x.par_chunks(rb * k))
             .for_each(|(cb, xb)| nt_block(xb, panel, k, lanes, cb));

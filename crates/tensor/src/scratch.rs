@@ -11,12 +11,15 @@
 //!
 //! Ownership rules (documented contract, enforced by borrows):
 //! * An arena belongs to exactly one logical execution stream (one
-//!   layer × one sample slot). Parallel samples each use their own arena.
+//!   layer × one worker group). Parallel groups each use their own arena.
 //! * A [`Frame`] mutably borrows the arena: one live frame at a time;
-//!   slices taken from it live only as long as the frame.
+//!   slices taken from it live only as long as the frame. Nothing is
+//!   read back across frames: a layer that needs data from forward in
+//!   backward keeps it itself or re-derives it (conv keeps its input and
+//!   re-lowers each sample instead of caching the batch's columns).
 //! * [`Frame::take`] returns zero-filled slices — callers may rely on
-//!   fresh-scratch semantics (gemm accumulators such as conv `dcols`).
-//!   im2col does not: it writes every element, padding included.
+//!   fresh-scratch semantics for gemm accumulators. im2col does not: it
+//!   writes every element, padding included.
 
 /// A reusable `f32` workspace buffer with an allocation-growth counter.
 #[derive(Debug, Default)]
@@ -49,14 +52,6 @@ impl Arena {
     /// Current capacity in `f32` elements.
     pub fn capacity(&self) -> usize {
         self.buf.len()
-    }
-
-    /// Read access to the first `len` floats — whatever the most recent
-    /// frame's slices left there. Used by callers that persist a
-    /// workspace across a forward/backward pair (e.g. im2col column
-    /// caches) instead of re-deriving it.
-    pub fn filled(&self, len: usize) -> &[f32] {
-        &self.buf[..len]
     }
 
     /// Opens a frame holding `len` scratch floats, growing the buffer if

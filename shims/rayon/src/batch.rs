@@ -96,6 +96,16 @@ fn finalize<R>(out: Vec<MaybeUninit<R>>) -> Vec<R> {
     unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<R>(), out.len(), out.capacity()) }
 }
 
+/// Elements per block when a stage over `n` elements is split across
+/// the pool: at most `4 × pool width` contiguous blocks, so uneven
+/// elements self-balance through the atomic index. Every block is this
+/// long except the last. Callers that size per-block scratch (conv's
+/// worker groups, matmul's row blocks) use it to line up with the pool.
+pub fn block_len(n: usize) -> usize {
+    let blocks = (pool::current_num_threads() * 4).clamp(1, n.max(1));
+    n.div_ceil(blocks).max(1)
+}
+
 /// Applies `f` to every element, in parallel, preserving order. The
 /// per-element results land in their original positions.
 pub(crate) fn consume_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
@@ -108,10 +118,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    // Oversubscribe blocks 4× the pool width so uneven elements
-    // self-balance through the atomic index.
-    let blocks = (pool::current_num_threads() * 4).clamp(1, n);
-    let batch = n.div_ceil(blocks);
+    let batch = block_len(n);
     let blocks = n.div_ceil(batch);
 
     let (in_ptr, _hold) = disarm(items);

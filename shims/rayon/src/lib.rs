@@ -20,13 +20,15 @@
 //! [`init_with_threads`] pins the pool size before first use,
 //! [`serial_scope`] runs a closure with every parallel stage inlined
 //! (the "pool-off" switch determinism tests compare against),
-//! [`current_num_threads`] reports the partition width, and
+//! [`current_num_threads`] reports the partition width, [`block_len`]
+//! the per-block length a stage over `n` elements gets, and
 //! `MSA_POOL_THREADS` overrides `available_parallelism` (0/1 disables
 //! the pool).
 
 mod batch;
 mod pool;
 
+pub use batch::block_len;
 pub use pool::{current_num_threads, init_with_threads, join, serial_scope};
 
 pub mod prelude {
